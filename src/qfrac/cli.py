@@ -10,8 +10,7 @@
 Exit status: 0 all checks passed, 1 a check failed, 2 usage/parameter error.
 Reports are byte-identical across runs for a fixed configuration; the JSON
 "seconds" field is therefore null unless --timings is given.  CSV cells use
-17 significant digits, '.' decimal, ',' separator.  QFRAC_THREADS (>= 1)
-caps the number of parallel suite cases.
+17 significant digits, '.' decimal, ',' separator.
 """
 
 from __future__ import annotations

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,9 +33,3 @@ class QContext:
     def with_q(self, q: float) -> "QContext":
         """Same regime with a different base (used for base-q^2 products)."""
         return replace(self, q=q)
-
-
-@lru_cache(maxsize=64)
-def qpowers(q: float, count: int) -> np.ndarray:
-    """[1, q, q^2, ..., q^(count-1)] cached per (q, count)."""
-    return q ** np.arange(count)

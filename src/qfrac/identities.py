@@ -16,9 +16,7 @@ produce false failures.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +39,7 @@ from .qfunctions import (
     aw_weight,
     hermite_cq_all,
     poisson_kernel,
+    poisson_kernel_z,
     q_exponential,
     theta_grid,
     weight_wH_sin,
@@ -381,13 +380,7 @@ def _phi_fn(aval, beta, ctx):
     """phi_beta(x; aval) as an AnalyticFn via the h-ratio."""
 
     def ev(z):
-        num = np.asarray(qpoch_infinite(aval * z, ctx)) * np.asarray(
-            qpoch_infinite(aval / z, ctx)
-        )
-        den = np.asarray(qpoch_infinite(aval * ctx.q**beta * z, ctx)) * np.asarray(
-            qpoch_infinite(aval * ctx.q**beta / z, ctx)
-        )
-        return num / den
+        return h_product_z(z, [aval], ctx) / h_product_z(z, [aval * ctx.q**beta], ctx)
 
     return op.AnalyticFn(ev, 1e-9, label=f"phi_{beta}(x;{aval:.3g})")
 
@@ -600,22 +593,12 @@ def _w0_section6(thetas, a, c, a3, a4, ctx):
     ) ** 2
 
 
-def _coupling_integral(thetas_fn_w0, zpair, scale_param, ctx):
-    """integral of w0(theta) / prod over the two points of
-    h(cos phi_j; s e^{i th}, s e^{-i th}) d theta, points given by zpair."""
-    av = scale_param * zpair
-    bv = scale_param / zpair
+def _coupling_integral(w0, zpair, s, ctx):
+    """integral_0^pi w0(theta) P_s(theta, phi_1) P_s(theta, phi_2) d theta,
+    with P_s the q-Hermite Poisson kernel and e^{i phi_j} given by zpair."""
 
     def igr(ths):
-        zt = np.exp(1j * ths)
-        k1 = np.asarray(qpoch_infinite(np.outer(zt, av), ctx)) * np.asarray(
-            qpoch_infinite(np.outer(1.0 / zt, av), ctx)
-        )
-        k2 = np.asarray(qpoch_infinite(np.outer(zt, bv), ctx)) * np.asarray(
-            qpoch_infinite(np.outer(1.0 / zt, bv), ctx)
-        )
-        hh = k1 * k2
-        return thetas_fn_w0(ths) / (hh[:, 0] * hh[:, 1])
+        return w0(ths) * np.prod(poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
 
     return complex(integrate_theta(igr, ctx).value)
 
@@ -624,15 +607,14 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
                       ctx: QContext) -> complex:
     """The section-6 bilinear kernel K(cos phi1, cos phi2):
 
-        [(q^a;q)_oo w_H sin phi1 / h(phi1;-1/c,-cq)] *
-        [(q^a;q)_oo w_H sin phi2 / h(phi2;-1/c,-cq)] / w(phi2; -1/c,-cq,a3,a4)
-        * integral of w_0(theta) / [h(phi1; q^{a/2} e^{+-i th})
-                                    h(phi2; q^{a/2} e^{+-i th})] d theta.
+        [w_H sin phi1 / h(phi1;-1/c,-cq)] [w_H sin phi2 / h(phi2;-1/c,-cq)]
+        / w(phi2; -1/c,-cq,a3,a4)
+        * integral of w_0(theta) P(theta, phi1) P(theta, phi2) d theta,
 
-    The (q^a; q)_oo factors sit inside the brackets exactly as they do in the
-    operator kernel (mirroring the (r^2; q)_oo placement of the three-parameter
-    family), which is what makes the diagonal of the companion orthogonality
-    equal A_n C_n^2.
+    P the q-Hermite Poisson kernel at t = q^{a/2}.  Its (q^a; q)_oo numerator
+    is the factor of the operator kernel (as (r^2; q)_oo is in the
+    three-parameter family), which is what makes the diagonal of the
+    companion orthogonality equal A_n C_n^2.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
@@ -640,10 +622,9 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
                     (c * q ** (1.0 + a / 2.0), "c q^{1+a/2}")):
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in w_0")
-    qa_inf = complex(qpoch_infinite(q**a, ctx))
     z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    br1 = qa_inf * weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [-1.0 / c, -c * q], ctx))
-    br2 = qa_inf * weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [-1.0 / c, -c * q], ctx))
+    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [-1.0 / c, -c * q], ctx))
+    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [-1.0 / c, -c * q], ctx))
     inner = _coupling_integral(
         lambda ths: _w0_section6(ths, a, c, a3, a4, ctx),
         np.array([z1, z2]), q ** (a / 2.0), ctx,
@@ -652,18 +633,17 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
     return br1 * br2 * inner / aw_weight(phi2, t_base, ctx)
 
 
-def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
-                      ctx: QContext, tol: float = 1e-12):
-    """sum_n A_n (C_n / B_n)^2 p_n(phi1) p_n(phi2), truncated when the term
-    falls below tol with two safety terms; returns (value, n_terms)."""
-    a, c = p.a, p.c
-    t_base = AWParams(-1.0 / c, -c * ctx.q, a3, a4)
+def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
+                     ctx: QContext, tol: float):
+    """sum_n A_n (C_n / B_n)^2 p_n(phi1; t) p_n(phi2; t) with (A_n, B_n, C_n) =
+    constants(n), truncated when the term falls below tol with two safety
+    terms; returns (value, n_terms)."""
     total = 0.0
     safety = 0
     for n in range(ctx.max_terms):
-        An, Bn, Cn = section6_constants(n, a, c, a3, a4, ctx)
-        term = An * (Cn / Bn) ** 2 * complex(aw_polynomial(n, phi1, t_base, ctx)) \
-            * complex(aw_polynomial(n, phi2, t_base, ctx))
+        An, Bn, Cn = constants(n)
+        term = An * (Cn / Bn) ** 2 * complex(aw_polynomial(n, phi1, t, ctx)) \
+            * complex(aw_polynomial(n, phi2, t, ctx))
         total += term
         if n > 4 and abs(term) < tol * max(abs(total), _FLOOR):
             safety += 1
@@ -672,6 +652,15 @@ def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
         else:
             safety = 0
     return total, ctx.max_terms
+
+
+def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
+                      ctx: QContext, tol: float = 1e-12):
+    """sum_n A_n (C_n / B_n)^2 p_n(phi1) p_n(phi2) with the section-6
+    constants; returns (value, n_terms)."""
+    a, c = p.a, p.c
+    return _bilinear_series(phi1, phi2, lambda n: section6_constants(n, a, c, a3, a4, ctx),
+                            AWParams(-1.0 / c, -c * ctx.q, a3, a4), ctx, tol)
 
 
 def _run_I16(params, variant, ctx, tol):
@@ -689,27 +678,14 @@ def _run_I16(params, variant, ctx, tol):
         sv, _ = bilinear_series_6(p1, p2, p, a3, a4, ctx, tol=1e-11)
         parts.append(_resid([kv], [sv], tol, notes=f"pair({p1},{p2})"))
 
-    # reduced triple integral: Itilde_n(theta) through the same coupling
-    qa_inf = complex(qpoch_infinite(q**a, ctx))
-
+    # reduced triple integral: Itilde_n(theta) through the same Poisson kernel
     def itilde(n, thetas):
+        def g(phis):
+            return aw_polynomial(n, phis, t_base, ctx) / np.asarray(
+                h_product_z(np.exp(1j * phis), [-1.0 / c, -c * q], ctx))
+
         zv = np.exp(1j * np.atleast_1d(thetas))
-        av = q ** (a / 2.0) * zv
-        bv = q ** (a / 2.0) / zv
-
-        def igr(phis):
-            zeta = np.exp(1j * phis)
-            w = weight_wH_sin(phis, ctx)
-            pn = aw_polynomial(n, phis, t_base, ctx)
-            d2 = np.asarray(h_product_z(zeta, [-1.0 / c, -c * q], ctx))
-            base = (w * pn / d2)[:, None]
-            k1 = np.asarray(qpoch_infinite(np.outer(zeta, av), ctx)) * np.asarray(
-                qpoch_infinite(np.outer(1.0 / zeta, av), ctx))
-            k2 = np.asarray(qpoch_infinite(np.outer(zeta, bv), ctx)) * np.asarray(
-                qpoch_infinite(np.outer(1.0 / zeta, bv), ctx))
-            return base * qa_inf / (k1 * k2)
-
-        return np.atleast_1d(integrate_theta(igr, ctx).value)
+        return np.atleast_1d(op.poisson_integral(q ** (a / 2.0), g, zv, 1.0, ctx).value)
 
     def triple(m, n):
         def igr(ths):
@@ -851,10 +827,9 @@ def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in W_0")
     tsh = AWParams(t1 * r, t2 * r, t3 / r, t4 / r)
-    r2_inf = complex(qpoch_infinite(r * r, ctx))
     z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    br1 = r2_inf * weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [t1, t2], ctx))
-    br2 = r2_inf * weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [t1, t2], ctx))
+    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [t1, t2], ctx))
+    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [t1, t2], ctx))
 
     def w0(ths):
         return aw_weight(ths, tsh, ctx) * np.asarray(
@@ -868,20 +843,8 @@ def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
 def bilinear_series_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
                       ctx: QContext, tol: float = 1e-12):
     """sum_n a_n (c_n / b_n)^2 p_n(phi1; t) p_n(phi2; t); returns (value, n)."""
-    total = 0.0
-    safety = 0
-    for n in range(ctx.max_terms):
-        an, bn, cn = section7_constants(n, t, p.r, ctx)
-        term = an * (cn / bn) ** 2 * complex(aw_polynomial(n, phi1, t, ctx)) \
-            * complex(aw_polynomial(n, phi2, t, ctx))
-        total += term
-        if n > 4 and abs(term) < tol * max(abs(total), _FLOOR):
-            safety += 1
-            if safety > 2:
-                return total, n + 1
-        else:
-            safety = 0
-    return total, ctx.max_terms
+    return _bilinear_series(phi1, phi2, lambda n: section7_constants(n, t, p.r, ctx),
+                            t, ctx, tol)
 
 
 def _run_I22(params, variant, ctx, tol):
@@ -1114,10 +1077,9 @@ def suite_failures(reports: list[IdentityReport]) -> list[str]:
     return bad
 
 
-def run_suite(grid_spec: str = "default", base_ctx: QContext | None = None,
-              jobs: int | None = None) -> list[IdentityReport]:
-    """Run a named case grid; reports come back in case order regardless of
-    how many worker threads execute them (QFRAC_THREADS caps the pool)."""
+def run_suite(grid_spec: str = "default", base_ctx: QContext | None = None
+              ) -> list[IdentityReport]:
+    """Run a named case grid serially; reports come back in case order."""
     if grid_spec == "default":
         cases = default_cases()
     elif grid_spec == "quick":
@@ -1126,9 +1088,4 @@ def run_suite(grid_spec: str = "default", base_ctx: QContext | None = None,
         cases = []
     else:
         raise CaseInvalid(f"unknown grid spec {grid_spec!r}")
-    if jobs is None:
-        jobs = max(1, int(os.environ.get("QFRAC_THREADS", "1")))
-    if jobs == 1 or not cases:
-        return [_run_case(c, base_ctx) for c in cases]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda c: _run_case(c, base_ctx), cases))
+    return [_run_case(c, base_ctx) for c in cases]

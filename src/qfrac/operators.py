@@ -12,6 +12,8 @@ evaluating a wrong branch of the integral representation.
 Operators:
 
     apply_Dq          Askey-Wilson divided difference
+    poisson_integral  the integral against the q-Hermite Poisson kernel that
+                      dq_inverse, apply_K and apply_T share
     dq_inverse        the classical right inverse (independent of apply_K)
     apply_K           two-parameter fractional integral K_{a,c}
     apply_K_eigen     closed-form action of K_{a,c} on its eigenbasis
@@ -34,8 +36,8 @@ from .chebyshev import cheb_apply_dq, cheb_eval, cheb_fit_adaptive
 from .context import QContext
 from .errors import AnnulusExhausted, DivisionNearZero, ParamDomain
 from .qcore import h_product_z, qpoch_infinite
-from .qfunctions import hermite_cq_all, q_exponential, weight_wH_sin
-from .quadrature import integrate_theta
+from .qfunctions import hermite_cq_all, poisson_kernel_z, q_exponential, weight_wH_sin
+from .quadrature import QuadResult, integrate_theta
 
 __all__ = [
     "AnalyticFn",
@@ -45,6 +47,7 @@ __all__ = [
     "eigen_k_basis",
     "eigen_t_basis",
     "apply_Dq",
+    "poisson_integral",
     "dq_inverse",
     "apply_K",
     "apply_K_eigen",
@@ -77,7 +80,7 @@ class KParams:
             raise ParamDomain(f"order a must be positive, got {self.a}")
         if not (1.0 < self.c < 1.0 / ctx.q):
             raise ParamDomain("c outside (1, 1/q)")
-        _min_factor_scan([-1.0 / self.c, -self.c * ctx.q], ctx)
+        _min_factor_check([-1.0 / self.c, -self.c * ctx.q], ctx)
 
 
 @dataclass
@@ -93,27 +96,20 @@ class TParams:
             raise ParamDomain("T(a,b,r) needs |a| < 1 and |b| < 1")
         if not (-1.0 < self.r < 1.0):
             raise ParamDomain("T(a,b,r) needs -1 < r < 1")
-        _min_factor_scan([self.a, self.b], ctx)
+        _min_factor_check([self.a, self.b], ctx)
 
 
-def _min_factor_scan(params, ctx: QContext, n_samples: int = 64) -> None:
+def _min_factor_check(params, ctx: QContext) -> None:
     """Reject parameters whose Pochhammer factors nearly vanish somewhere on
     the contour (catches |alpha| ~ q^{-k} configurations the modulus bounds
-    alone miss)."""
-    phis = np.linspace(0.0, np.pi, n_samples)
-    zeta = np.exp(1j * phis)
+    alone miss).  Over phi and both signs the smallest factor is exact:
+    min |1 - alpha q^k e^{+-i phi}| = |1 - |alpha| q^k|."""
     for alpha in params:
         mod = abs(alpha)
-        if mod == 0:
-            continue
         k = 0
         qk = 1.0
         while mod * qk > 0.3 and k < ctx.max_terms:
-            worst = min(
-                float(np.min(np.abs(1.0 - alpha * qk * zeta))),
-                float(np.min(np.abs(1.0 - alpha * qk / zeta))),
-            )
-            if worst <= 1e-8:
+            if abs(1.0 - mod * qk) <= 1e-8:
                 raise ParamDomain(
                     f"kernel factor 1 - ({alpha}) q^{k} e^{{i phi}} vanishes on the contour"
                 )
@@ -247,29 +243,32 @@ def apply_Dq(f: AnalyticFn, ctx: QContext) -> AnalyticFn:
 # K_{a,c} family
 # ---------------------------------------------------------------------------
 
-def _kernel_poch4(p1, p2, p3, p4, ctx: QContext):
-    """prod_k (1-p1 q^k)(1-p2 q^k)(1-p3 q^k)(1-p4 q^k), fused loop."""
-    mod = max(
-        float(np.max(np.abs(p1))), float(np.max(np.abs(p2))),
-        float(np.max(np.abs(p3))), float(np.max(np.abs(p4))),
-    )
-    from .qcore import _trunc_count  # shared truncation policy
+def poisson_integral(t, g, z, pref, ctx: QContext) -> QuadResult:
+    """pref(z) * integral_0^pi w_H(cos phi) sin phi g(phi) P_t(phi, z) dphi for
+    every z of a batch, with P_t = poisson_kernel_z the q-Hermite Poisson
+    kernel.  g maps an array of angles phi to g(phi); pref is a scalar or
+    one value per z.
 
-    n = _trunc_count(mod, ctx)
-    if n > ctx.max_terms:
-        from .errors import NonConvergent
+    pref rides inside the integrand: it can span many orders of magnitude
+    across a batch, and folding it in keeps every component O(1) for the
+    per-component error budgets.
+    """
 
-        raise NonConvergent("kernel Pochhammer product exceeds max_terms")
-    out = np.ones_like(p1)
-    a, b, c, d = p1.copy(), p2.copy(), p3.copy(), p4.copy()
-    q = ctx.q
-    for _ in range(n):
-        out *= (1.0 - a) * (1.0 - b) * (1.0 - c) * (1.0 - d)
-        a *= q
-        b *= q
-        c *= q
-        d *= q
-    return out
+    def integrand(phis):
+        base = weight_wH_sin(phis, ctx) * g(phis)
+        return base[:, None] * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
+
+    return integrate_theta(integrand, ctx)
+
+
+def _over_h(f: AnalyticFn, params, ctx: QContext):
+    """phi -> f(e^{i phi}) / h(cos phi; params): the g of an integral operator."""
+
+    def g(phis):
+        zeta = np.exp(1j * phis)
+        return f(zeta) / h_product_z(zeta, params, ctx)
+
+    return g
 
 
 def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
@@ -279,41 +278,22 @@ def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
             h(cos t; -c q^{1-a/2}, -q^{a/2}/c) *
             integral_0^pi  w_H(cos phi) (q^a; q)_oo f(cos phi) sin phi dphi
                 / [ h(cos phi; q^{a/2} e^{it}, q^{a/2} e^{-it})
-                    h(cos phi; -1/c, -c q) ].
+                    h(cos phi; -1/c, -c q) ],
 
-    The operand is sampled on the contour only; the output carries annulus
-    q^{a/2} and memoizes its pointwise quadratures.
+    the Poisson-kernel integral at t = q^{a/2}.  The operand is sampled on
+    the contour only; the output carries annulus q^{a/2} and memoizes its
+    pointwise quadratures.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
     qa2 = q ** (a / 2.0)
     pref_const = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    qa_inf = complex(qpoch_infinite(q**a, ctx))
     pref_params = [-c * q ** (1.0 - a / 2.0), -qa2 / c]
+    g = _over_h(f, [-1.0 / c, -c * q], ctx)
 
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        # the theta-dependent prefactor rides inside the integrand: it can
-        # span many orders of magnitude across a batch, and folding it in
-        # keeps every component O(1) for the per-component error budgets
+    def ev(zv):
         pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        av = qa2 * zv
-        bv = qa2 / zv
-
-        def integrand(phis):
-            zeta = np.exp(1j * phis)
-            w = weight_wH_sin(phis, ctx)
-            fv = np.asarray(f(zeta))
-            d2 = np.asarray(h_product_z(zeta, [-1.0 / c, -c * q], ctx))
-            base = (w * fv / d2)[:, None]
-            denom = _kernel_poch4(
-                np.outer(zeta, av), np.outer(1.0 / zeta, av),
-                np.outer(zeta, bv), np.outer(1.0 / zeta, bv), ctx,
-            )
-            return base * (qa_inf * pref[None, :] / denom)
-
-        res = integrate_theta(integrand, ctx)
-        return np.atleast_1d(res.value)
+        return np.atleast_1d(poisson_integral(qa2, g, zv, pref, ctx).value)
 
     return AnalyticFn(ev, qa2, label=f"K[{a},{c}]({f.label})", memoize=True)
 
@@ -330,30 +310,13 @@ def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     KParams(1.0, c).validate(ctx)
     q = ctx.q
     rq = math.sqrt(q)
-    qq_inf = complex(qpoch_infinite(q, ctx))
+    g = _over_h(f, [-1.0 / c, -c * q], ctx)
 
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    def ev(zv):
         pref = (1.0 / rq) * (1.0 - q) / (2.0 * c) * np.asarray(
             h_product_z(zv, [-c * rq, -rq / c], ctx)
         )
-        av = rq * zv
-        bv = rq / zv
-
-        def integrand(phis):
-            zeta = np.exp(1j * phis)
-            w = weight_wH_sin(phis, ctx)
-            fv = np.asarray(f(zeta))
-            d2 = np.asarray(h_product_z(zeta, [-1.0 / c, -c * q], ctx))
-            base = (w * fv / d2)[:, None]
-            denom = _kernel_poch4(
-                np.outer(zeta, av), np.outer(1.0 / zeta, av),
-                np.outer(zeta, bv), np.outer(1.0 / zeta, bv), ctx,
-            )
-            return base * (qq_inf * pref[None, :] / denom)
-
-        res = integrate_theta(integrand, ctx)
-        return np.atleast_1d(res.value)
+        return np.atleast_1d(poisson_integral(rq, g, zv, pref, ctx).value)
 
     return AnalyticFn(ev, rq, label=f"Dq^-1[{c}]({f.label})", memoize=True)
 
@@ -489,34 +452,17 @@ def left_inverse_apply(p: KParams, f: AnalyticFn, ctx: QContext,
 def apply_T(p: TParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     """(T(a,b,r) f)(cos t) = h(cos t; a, b) (r^2; q)_oo *
         integral of w_H f sin phi / [h(cos phi; r e^{it}, r e^{-it})
-                                     h(cos phi; a, b)].
+                                     h(cos phi; a, b)],
 
-    Output annulus |r| (r = 0 degenerates to the rank-one projection onto
-    h(.; a, b), handled naturally)."""
+    the Poisson-kernel integral at t = r.  Output annulus |r| (r = 0
+    degenerates to the rank-one projection onto h(.; a, b), since P_0 = 1)."""
     p.validate(ctx)
-    a, b, r, q = p.a, p.b, p.r, ctx.q
-    r2_inf = complex(qpoch_infinite(r * r, ctx))
+    a, b, r = p.a, p.b, p.r
+    g = _over_h(f, [a, b], ctx)
 
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        pref = r2_inf * np.asarray(h_product_z(zv, [a, b], ctx))
-        av = r * zv
-        bv = r / zv if r != 0 else np.zeros_like(zv)
-
-        def integrand(phis):
-            zeta = np.exp(1j * phis)
-            w = weight_wH_sin(phis, ctx)
-            fv = np.asarray(f(zeta))
-            d2 = np.asarray(h_product_z(zeta, [a, b], ctx))
-            base = (w * fv / d2)[:, None]
-            denom = _kernel_poch4(
-                np.outer(zeta, av), np.outer(1.0 / zeta, av),
-                np.outer(zeta, bv), np.outer(1.0 / zeta, bv), ctx,
-            )
-            return base * (pref[None, :] / denom)
-
-        res = integrate_theta(integrand, ctx)
-        return np.atleast_1d(res.value)
+    def ev(zv):
+        pref = np.asarray(h_product_z(zv, [a, b], ctx))
+        return np.atleast_1d(poisson_integral(r, g, zv, pref, ctx).value)
 
     rho = max(abs(r), 1e-9)
     return AnalyticFn(ev, rho, label=f"T[{a},{b},{r}]({f.label})", memoize=True)

@@ -1,9 +1,10 @@
 """Polynomial families, weights and q-exponentials.
 
 Continuous q-Hermite polynomials H_n(x|q) and their weight, the Poisson
-kernel in both series and product form, the four-parameter Askey-Wilson
-polynomials p_n(x; t1,t2,t3,t4) with weight and normalization constants,
-the three q-monomial bases, and the q-exponential.
+kernel in both series and product form (poisson_kernel_z, the vectorized
+product form, is the kernel every integral operator uses), the four-parameter
+Askey-Wilson polynomials p_n(x; t1,t2,t3,t4) with weight and normalization
+constants, the three q-monomial bases, and the q-exponential.
 
 All grids are theta-grids on [0, pi]; integrals always fold the sin(theta)
 Jacobian into the integrand before quadrature so no endpoint singularity
@@ -36,6 +37,7 @@ __all__ = [
     "weight_wH",
     "weight_wH_sin",
     "poisson_kernel",
+    "poisson_kernel_z",
     "aw_polynomial",
     "aw_polynomial_x",
     "aw_polynomial_series",
@@ -165,12 +167,7 @@ def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
     if abs(t) >= 1.0:
         raise DomainError("poisson_kernel needs |t| < 1")
     if form == "product":
-        num = qpoch_infinite(t * t, ctx)
-        den = 1.0 + 0j
-        for s in (theta + phi, theta - phi):
-            den *= qpoch_infinite(t * np.exp(1j * s), ctx)
-            den *= qpoch_infinite(t * np.exp(-1j * s), ctx)
-        return num / den
+        return complex(poisson_kernel_z(np.exp(1j * phi), np.exp(1j * theta), t, ctx)[0, 0])
     if form != "series":
         raise ValueError("form must be 'series' or 'product'")
     total = 0j
@@ -199,6 +196,26 @@ def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
         if n > 4 and small >= 3:
             return total
     raise DomainError("poisson series did not settle within max_terms")
+
+
+def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
+    """Product-form Poisson kernel in the variables zeta = e^{i phi} and z:
+    the (len(zeta), len(z)) matrix
+
+        (t^2; q)_oo / (t zeta z, t z/zeta, t zeta/z, t/(zeta z); q)_oo.
+
+    On |z| = 1, z = e^{i theta}, this is poisson_kernel(theta, phi, t).  The
+    four denominator products share one truncation length, set by the
+    largest modulus among them.
+    """
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))[:, None]
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))[None, :]
+    # t rides on the per-z factors so each argument takes one rounding per
+    # node: near phi = theta the factor 1 - t zeta/z cancels, and rounding
+    # that varies from node to node there is noise adaptive quadrature chases
+    tz, t_z, inv = t * z, t / z, 1.0 / zeta
+    args = np.stack((zeta * tz, inv * tz, zeta * t_z, inv * t_z))
+    return qpoch_infinite(t * t, ctx) / np.prod(qpoch_infinite(args, ctx), axis=0)
 
 
 def _aw_recurrence_coeffs(n: int, t: AWParams, ctx: QContext):

@@ -157,20 +157,3 @@ class TestSuite:
         assert ok
         assert resolved == {"I11[a=0.8,c=1.2,q=0.5,tval=0.25]": "q2"}
 
-    def test_threaded_matches_serial(self):
-        import os
-
-        serial = run_suite("empty")
-        os.environ["QFRAC_THREADS"] = "2"
-        try:
-            cases = [IdentityCase("I0d", {"q": 0.5}), IdentityCase("I0a", {"q": 0.5, "n": 4})]
-            a = [idn._run_case(c, None) for c in cases]
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                b = list(pool.map(lambda c: idn._run_case(c, None), cases))
-            for ra, rb in zip(a, b):
-                assert ra.residual.max_rel == rb.residual.max_rel
-        finally:
-            os.environ.pop("QFRAC_THREADS", None)
-        assert serial == []

@@ -57,6 +57,22 @@ class TestParams:
             op.TParams(1.1, 0.2, 0.5).validate(ctx05)
         with pytest.raises(ParamDomain):
             op.TParams(0.4, 0.2, 1.0).validate(ctx05)
+        with pytest.raises(ParamDomain):  # smallest factor 5e-9, between phase samples
+            op.TParams((1 - 5e-9) * np.exp(0.0123j), 0.3, 0.5).validate(ctx05)
+
+
+class TestPoissonIntegral:
+    def test_reproducing_property(self, ctx05):
+        # integral of w_H H_n(cos phi) P_t(phi, theta) = t^n H_n(cos theta);
+        # t = 0 gives delta_{n0}
+        grid = theta_grid(5)
+        want = hermite_cq_all(3, np.cos(grid), ctx05)
+        for t in (0.4, -0.35, 0.0):
+            for n in range(4):
+                res = op.poisson_integral(
+                    t, lambda phis: hermite_cq_all(n, np.cos(phis), ctx05)[n],
+                    np.exp(1j * grid), 1.0, ctx05)
+                assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
 
 
 class TestDq:

@@ -20,6 +20,7 @@ from qfrac.qfunctions import (
     hermite_cq,
     hermite_cq_all,
     poisson_kernel,
+    poisson_kernel_z,
     q_exponential,
     q_exponential_direct,
     theta_grid,
@@ -113,6 +114,15 @@ class TestPoisson:
             s = poisson_kernel(float(th), 2.0, -0.35, ctx_all, form="series")
             p = poisson_kernel(float(th), 2.0, -0.35, ctx_all, form="product")
             assert s == pytest.approx(p, rel=1e-10)
+
+    def test_matrix_form(self, ctx05):
+        phis, thetas = np.array([np.pi / 4, 2.0]), np.array([0.3, 1.1, 2.9])
+        got = poisson_kernel_z(np.exp(1j * phis), np.exp(1j * thetas), -0.35, ctx05)
+        assert got.shape == (2, 3)
+        for i, ph in enumerate(phis):
+            for j, th in enumerate(thetas):
+                want = poisson_kernel(th, ph, -0.35, ctx05, form="series")
+                assert got[i, j] == pytest.approx(want, rel=1e-10)
 
     def test_positivity(self, ctx05, rng):
         for _ in range(10):

@@ -44,7 +44,7 @@ from .qfunctions import (
     theta_grid,
     weight_wH_sin,
 )
-from .quadrature import eval_counter, integrate_theta
+from .quadrature import converged_value, eval_counter, integrate_theta
 
 __all__ = [
     "IdentityCase",
@@ -174,7 +174,7 @@ def _run_I0a(params, variant, ctx, tol):
         w = weight_wH_sin(phis, ctx)
         return np.stack([w * H[m] * H[n] for (m, n) in pairs], axis=1)
 
-    gram = np.atleast_1d(integrate_theta(igr, ctx).value)
+    gram = np.atleast_1d(converged_value(integrate_theta(igr, ctx), "q-Hermite Gram matrix"))
     want = np.array([
         complex(qpoch_finite(ctx.q, n, ctx)) if m == n else 0.0 for (m, n) in pairs
     ])
@@ -211,7 +211,8 @@ def _run_I0c(params, variant, ctx, tol):
                 h_product_z(np.exp(1j * phis), [a for a in quad if a != 0.0], ctx)
             )
 
-        lhs.append(complex(integrate_theta(igr, ctx).value))
+        lhs.append(complex(converged_value(integrate_theta(igr, ctx),
+                                           f"Askey-Wilson integral {quad}")))
         prod = complex(qpoch_infinite(quad[0] * quad[1] * quad[2] * quad[3], ctx))
         for j in range(4):
             for k in range(j + 1, 4):
@@ -476,57 +477,43 @@ def _aw_fn(n, t: AWParams, ctx):
                               label=f"p_{n}")
 
 
-def _run_I13(params, variant, ctx, tol):
-    """K_{a,c} p_n(.; -1/c, a2, a3, a4) equals the 5phi4 closed form."""
-    a, c, n = params["a"], params["c"], int(params["n"])
-    a2, a3, a4 = params["a2"], params["a3"], params["a4"]
-    q = ctx.q
-    grid = _grid(params)
-    t = AWParams(-1.0 / c, a2, a3, a4)
-    lhs = op.apply_K(op.KParams(a, c), _aw_fn(n, t, ctx), ctx).on_theta(grid)
-    z = np.exp(1j * grid)
-    pref = (-1.0) ** n * q ** (a * (a - 3.0) / 4.0) * c**n * ((1.0 - q) / (2.0 * c)) ** a
-    pochs = complex(
-        qpoch_finite(-a2 / c, n, ctx) * qpoch_finite(-a3 / c, n, ctx)
-        * qpoch_finite(-a4 / c, n, ctx)
-    )
-    ratio = complex(qpoch_infinite(q ** (a + 1.0), ctx)) / complex(qpoch_infinite(q, ctx))
-    hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
-        h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
-    )
-    upper = [q ** (-n), -q ** (n - 1) * a2 * a3 * a4 / c, q,
-             -q ** (a / 2.0) * z / c, -q ** (a / 2.0) / (z * c)]
-    lower = [-a2 / c, -a3 / c, -a4 / c, q ** (a + 1.0)]
-    phi54 = np.asarray(bhs_terminating(upper, lower, q, n, ctx))
-    rhs = pref * pochs * ratio * hrat * phi54
-    return _resid(lhs, rhs, tol)
+def _run_5phi4(first):
+    """Runner of K_{a,c} p_n(.; alpha, a2, a3, a4) against the 5phi4 closed
+    form, alpha = first(c, q) one of the two parameters -1/c (I13) and -cq
+    (I14) that h(.; -1/c, -cq) cancels:
 
+        alpha^{-n} q^{a(a-3)/4} ((1-q)/(2c))^a (a2 alpha, a3 alpha, a4 alpha; q)_n
+            (q^{a+1}; q)_oo / (q; q)_oo h(x; -c q^{1-a/2}) / h(x; -c q^{1+a/2})
+            * 5phi4(q^{-n}, q^{n-1} alpha a2 a3 a4, q, q^{a/2} alpha z, q^{a/2} alpha / z;
+                    a2 alpha, a3 alpha, a4 alpha, q^{a+1}).
+    """
 
-def _run_I14(params, variant, ctx, tol):
-    """Companion 5phi4 map for p_n(.; -cq, a2, a3, a4)."""
-    a, c, n = params["a"], params["c"], int(params["n"])
-    a2, a3, a4 = params["a2"], params["a3"], params["a4"]
-    q = ctx.q
-    grid = _grid(params)
-    t = AWParams(-c * q, a2, a3, a4)
-    lhs = op.apply_K(op.KParams(a, c), _aw_fn(n, t, ctx), ctx).on_theta(grid)
-    z = np.exp(1j * grid)
-    pref = (-1.0) ** n * q ** (a * (a - 3.0) / 4.0) * (c * q) ** (-n) \
-        * ((1.0 - q) / (2.0 * c)) ** a
-    pochs = complex(
-        qpoch_finite(-a2 * c * q, n, ctx) * qpoch_finite(-a3 * c * q, n, ctx)
-        * qpoch_finite(-a4 * c * q, n, ctx)
-    )
-    ratio = complex(qpoch_infinite(q ** (a + 1.0), ctx)) / complex(qpoch_infinite(q, ctx))
-    hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
-        h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
-    )
-    upper = [q ** (-n), -q**n * c * a2 * a3 * a4, q,
-             -c * q ** (a / 2.0 + 1.0) * z, -c * q ** (a / 2.0 + 1.0) / z]
-    lower = [-a2 * c * q, -a3 * c * q, -a4 * c * q, q ** (a + 1.0)]
-    phi54 = np.asarray(bhs_terminating(upper, lower, q, n, ctx))
-    rhs = pref * pochs * ratio * hrat * phi54
-    return _resid(lhs, rhs, tol)
+    def run(params, variant, ctx, tol):
+        a, c, n = params["a"], params["c"], int(params["n"])
+        a2, a3, a4 = params["a2"], params["a3"], params["a4"]
+        q = ctx.q
+        alpha = first(c, q)
+        grid = _grid(params)
+        t = AWParams(alpha, a2, a3, a4)
+        lhs = op.apply_K(op.KParams(a, c), _aw_fn(n, t, ctx), ctx).on_theta(grid)
+        z = np.exp(1j * grid)
+        pref = alpha ** (-n) * q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
+        pochs = complex(
+            qpoch_finite(a2 * alpha, n, ctx) * qpoch_finite(a3 * alpha, n, ctx)
+            * qpoch_finite(a4 * alpha, n, ctx)
+        )
+        ratio = complex(qpoch_infinite(q ** (a + 1.0), ctx)) / complex(qpoch_infinite(q, ctx))
+        hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
+            h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
+        )
+        upper = [q ** (-n), q ** (n - 1) * alpha * a2 * a3 * a4, q,
+                 q ** (a / 2.0) * alpha * z, q ** (a / 2.0) * alpha / z]
+        lower = [a2 * alpha, a3 * alpha, a4 * alpha, q ** (a + 1.0)]
+        phi54 = np.asarray(bhs_terminating(upper, lower, q, n, ctx))
+        rhs = pref * pochs * ratio * hrat * phi54
+        return _resid(lhs, rhs, tol)
+
+    return run
 
 
 def _run_I15(params, variant, ctx, tol):
@@ -595,12 +582,15 @@ def _w0_section6(thetas, a, c, a3, a4, ctx):
 
 def _coupling_integral(w0, zpair, s, ctx):
     """integral_0^pi w0(theta) P_s(theta, phi_1) P_s(theta, phi_2) d theta,
-    with P_s the q-Hermite Poisson kernel and e^{i phi_j} given by zpair."""
+    with P_s the q-Hermite Poisson kernel and e^{i phi_j} given by zpair.
+    The kernels' poles bound the strip at -ln|s| (w0's poles lie further
+    out)."""
 
     def igr(ths):
         return w0(ths) * np.prod(poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
 
-    return complex(integrate_theta(igr, ctx).value)
+    res = integrate_theta(igr, ctx, strip=-math.log(abs(s)))
+    return complex(converged_value(res, f"coupling integral at s={s:.6g}"))
 
 
 def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
@@ -685,13 +675,14 @@ def _run_I16(params, variant, ctx, tol):
                 h_product_z(np.exp(1j * phis), [-1.0 / c, -c * q], ctx))
 
         zv = np.exp(1j * np.atleast_1d(thetas))
-        return np.atleast_1d(op.poisson_integral(q ** (a / 2.0), g, zv, 1.0, ctx).value)
+        res = op.poisson_integral(q ** (a / 2.0), g, zv, 1.0, ctx)
+        return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
 
     def triple(m, n):
         def igr(ths):
             return _w0_section6(ths, a, c, a3, a4, ctx) * itilde(n, ths) * itilde(m, ths)
 
-        return complex(integrate_theta(igr, ctx).value)
+        return complex(converged_value(integrate_theta(igr, ctx), f"triple integral ({m},{n})"))
 
     diag_notes = []
     for n in (0, 1):
@@ -919,9 +910,11 @@ REGISTRY = {
                     ("q", "a", "c", "tval"), ("q2", "q")),
         IdentityDef("I12", "E_q adjoint pairing base convention", 1e-7, _run_I12,
                     ("q", "a", "c", "tval"), ("q2", "q")),
-        IdentityDef("I13", "K maps p_n to 5phi4", 1e-7, _run_I13,
+        IdentityDef("I13", "K maps p_n to 5phi4", 1e-7,
+                    _run_5phi4(lambda c, q: -1.0 / c),
                     ("q", "a", "c", "n", "a2", "a3", "a4")),
-        IdentityDef("I14", "companion 5phi4 map", 1e-7, _run_I14,
+        IdentityDef("I14", "companion 5phi4 map", 1e-7,
+                    _run_5phi4(lambda c, q: -c * q),
                     ("q", "a", "c", "n", "a2", "a3", "a4")),
         IdentityDef("I15", "4phi3 special case + transmutation", 1e-7, _run_I15,
                     ("q", "a", "c", "n", "a3", "a4")),

@@ -9,6 +9,11 @@ divided differences consume that headroom one q^{1/2} layer per application.
 Composing past the annulus raises AnnulusExhausted instead of silently
 evaluating a wrong branch of the integral representation.
 
+The integral operators state their kernel's strip of analyticity, so at
+moderate t = q^{a/2}, q^{1/2} or r they run the periodic trapezoid rule and
+near t = 1 the adaptive one (see quadrature).  An integral that does not
+converge raises NonConvergent; no operator returns an unconverged value.
+
 Operators:
 
     apply_Dq          Askey-Wilson divided difference
@@ -37,7 +42,7 @@ from .context import QContext
 from .errors import AnnulusExhausted, DivisionNearZero, ParamDomain
 from .qcore import h_product_z, qpoch_infinite
 from .qfunctions import hermite_cq_all, poisson_kernel_z, q_exponential, weight_wH_sin
-from .quadrature import QuadResult, integrate_theta
+from .quadrature import QuadResult, converged_value, integrate_theta
 
 __all__ = [
     "AnalyticFn",
@@ -252,13 +257,22 @@ def poisson_integral(t, g, z, pref, ctx: QContext) -> QuadResult:
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
     per-component error budgets.
+
+    The kernel's poles lie at |Im phi| = -ln(|t| max(|z|, 1/|z|)), which is
+    the strip handed to integrate_theta (t = 0 makes the kernel constant):
+    moderate t gets the trapezoid rule, t near 1 the adaptive one.  The
+    strip of g is not stated; a narrower one only makes the rule double
+    further.
     """
 
     def integrand(phis):
         base = weight_wH_sin(phis, ctx) * g(phis)
         return base[:, None] * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
 
-    return integrate_theta(integrand, ctx)
+    mods = np.abs(np.atleast_1d(z))
+    reach = abs(t) * float(np.max(np.maximum(mods, 1.0 / mods)))
+    strip = -math.log(reach) if reach > 0 else math.inf
+    return integrate_theta(integrand, ctx, strip=strip)
 
 
 def _over_h(f: AnalyticFn, params, ctx: QContext):
@@ -290,12 +304,13 @@ def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     pref_const = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
     pref_params = [-c * q ** (1.0 - a / 2.0), -qa2 / c]
     g = _over_h(f, [-1.0 / c, -c * q], ctx)
+    label = f"K[{a},{c}]({f.label})"
 
     def ev(zv):
         pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        return np.atleast_1d(poisson_integral(qa2, g, zv, pref, ctx).value)
+        return np.atleast_1d(converged_value(poisson_integral(qa2, g, zv, pref, ctx), label))
 
-    return AnalyticFn(ev, qa2, label=f"K[{a},{c}]({f.label})", memoize=True)
+    return AnalyticFn(ev, qa2, label=label, memoize=True)
 
 
 def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
@@ -311,14 +326,15 @@ def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     q = ctx.q
     rq = math.sqrt(q)
     g = _over_h(f, [-1.0 / c, -c * q], ctx)
+    label = f"Dq^-1[{c}]({f.label})"
 
     def ev(zv):
         pref = (1.0 / rq) * (1.0 - q) / (2.0 * c) * np.asarray(
             h_product_z(zv, [-c * rq, -rq / c], ctx)
         )
-        return np.atleast_1d(poisson_integral(rq, g, zv, pref, ctx).value)
+        return np.atleast_1d(converged_value(poisson_integral(rq, g, zv, pref, ctx), label))
 
-    return AnalyticFn(ev, rq, label=f"Dq^-1[{c}]({f.label})", memoize=True)
+    return AnalyticFn(ev, rq, label=label, memoize=True)
 
 
 def apply_K_eigen(p: KParams, n: int, theta, ctx: QContext):
@@ -459,13 +475,14 @@ def apply_T(p: TParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     p.validate(ctx)
     a, b, r = p.a, p.b, p.r
     g = _over_h(f, [a, b], ctx)
+    label = f"T[{a},{b},{r}]({f.label})"
 
     def ev(zv):
         pref = np.asarray(h_product_z(zv, [a, b], ctx))
-        return np.atleast_1d(poisson_integral(r, g, zv, pref, ctx).value)
+        return np.atleast_1d(converged_value(poisson_integral(r, g, zv, pref, ctx), label))
 
     rho = max(abs(r), 1e-9)
-    return AnalyticFn(ev, rho, label=f"T[{a},{b},{r}]({f.label})", memoize=True)
+    return AnalyticFn(ev, rho, label=label, memoize=True)
 
 
 def _g_weight(z, a, b, ctx: QContext):
@@ -607,7 +624,7 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
             h = np.asarray(h_product_z(np.exp(1j * phis), hpars, ctx))
             return e * kv * weight_wH_sin(phis, ctx) / h
 
-        return complex(integrate_theta(igr, ctx).value)
+        return complex(converged_value(integrate_theta(igr, ctx), "adjoint pairing, left"))
     if side != "right":
         raise ValueError("side must be 'left' or 'right'")
     pref = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
@@ -623,4 +640,5 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
         h = np.asarray(h_product_z(np.exp(1j * phis), [-c * q, -1.0 / c], ctx))
         return e * fv * weight_wH_sin(phis, ctx) / h
 
-    return pref * ratio * complex(integrate_theta(igr, ctx).value)
+    return pref * ratio * complex(
+        converged_value(integrate_theta(igr, ctx), "adjoint pairing, right"))

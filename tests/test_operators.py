@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from qfrac.context import QContext
-from qfrac.errors import AnnulusExhausted, ParamDomain
+from qfrac.errors import AnnulusExhausted, NonConvergent, ParamDomain
+from qfrac import identities as idn
 from qfrac import operators as op
+from qfrac import quadrature
 from qfrac.qcore import h_product_z, qpoch_infinite
-from qfrac.qfunctions import hermite_cq_all, theta_grid
+from qfrac.qfunctions import hermite_cq_all, poisson_kernel_z, theta_grid, weight_wH_sin
 
 GRID = theta_grid(9)
 
@@ -73,6 +75,36 @@ class TestPoissonIntegral:
                     t, lambda phis: hermite_cq_all(n, np.cos(phis), ctx05)[n],
                     np.exp(1j * grid), 1.0, ctx05)
                 assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
+
+    def test_peaked_t_stays_adaptive(self, ctx05):
+        # t = 0.9995 predicts M ~ 25,000 nodes: the adaptive rule runs, with
+        # the node count it has without a strip
+        t, z = 0.9995, np.exp(1j * np.array([0.7, 2.1]))
+
+        def g(phis):
+            return np.cos(phis) ** 2
+
+        res = op.poisson_integral(t, g, z, 1.0, ctx05)
+
+        def igr(phis):
+            return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
+                np.exp(1j * phis), z, t, ctx05)
+
+        ref = quadrature.integrate_theta(igr, ctx05)
+        assert res.converged
+        assert res.evals == ref.evals
+        assert np.array_equal(res.value, ref.value)
+
+    def test_unconverged_integral_fails_the_case(self):
+        ctx = QContext(q=0.5, quad_max_depth=1)
+        f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
+        with pytest.raises(NonConvergent, match="did not converge"):
+            op.apply_K(op.KParams(0.01, 1.2), f, ctx).on_theta(GRID)
+        rep = idn._run_case(idn.IdentityCase("I2", {"q": 0.5, "c": 1.2, "grid_points": 5}),
+                            ctx)
+        assert rep.status == "fail"
+        assert "NonConvergent" in rep.residual.notes
+        assert "did not converge" in rep.residual.notes
 
 
 class TestDq:

@@ -1,12 +1,15 @@
-"""Adaptive quadrature engine: exactness, error control, determinism."""
+"""Quadrature engine: exactness, error control, determinism."""
+
+import math
 
 import numpy as np
 import pytest
 
 from qfrac.context import QContext
+from qfrac.errors import NonConvergent
 from qfrac.qcore import h_product_z, qpoch_infinite
-from qfrac.qfunctions import weight_wH_sin
-from qfrac.quadrature import integrate_theta, integrate_theta_2d
+from qfrac.qfunctions import poisson_kernel_z, theta_grid, weight_wH_sin
+from qfrac.quadrature import converged_value, integrate_theta, integrate_theta_2d
 
 
 class TestIntegrateTheta:
@@ -104,6 +107,48 @@ class TestIntegrateTheta:
         ref = vals[-1]
         diffs = [abs(v - ref) for v in vals[:-1]]
         assert all(d1 >= d2 or d1 < 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+class TestTrapezoid:
+    def test_trig_polynomials_exact(self, ctx05):
+        # cos^{2k} sin^2 has degree 2k + 2 < 32: exact at M = 16, confirmed at 32
+        ks = np.arange(7)
+
+        def igr(phis):
+            return np.cos(phis)[:, None] ** (2 * ks) * np.sin(phis)[:, None] ** 2
+
+        r = integrate_theta(igr, ctx05, strip=math.inf)
+        even = [math.comb(2 * k, k) / 4.0**k for k in range(8)]
+        want = np.pi * (np.array(even[:-1]) - np.array(even[1:]))
+        assert r.converged and r.evals == 33
+        assert np.max(np.abs(r.value - want)) < 1e-15
+
+    def test_poisson_kernel_moderate_t(self, ctx05):
+        # the weight integrates the Poisson kernel to 1 at every theta
+        t, z = 0.9, np.exp(1j * theta_grid(5))
+
+        def igr(phis):
+            return weight_wH_sin(phis, ctx05)[:, None] * poisson_kernel_z(
+                np.exp(1j * phis), z, t, ctx05)
+
+        r = integrate_theta(igr, ctx05, strip=-math.log(t))
+        assert r.converged and r.err_ratio <= 1.0
+        assert np.max(np.abs(r.value - 1.0)) < 1e-12
+        assert r.evals < integrate_theta(igr, ctx05).evals
+
+    def test_stated_strip_too_wide(self, ctx05):
+        # true strip acosh(1 + 1e-6) = 0.0014 needs M ~ 10^4; stated 1 predicts 13
+        def igr(phis):
+            return 1.0 / (1.000001 - np.cos(phis))
+
+        r = integrate_theta(igr, ctx05, strip=1.0)
+        assert not r.converged and r.err_ratio > 1.0
+        with pytest.raises(NonConvergent, match="did not converge"):
+            converged_value(r, "1/(a - cos)")
+
+    def test_strip_needs_default_interval(self, ctx05):
+        with pytest.raises(ValueError):
+            integrate_theta(np.cos, ctx05, lo=0.0, hi=1.0, strip=1.0)
 
 
 class TestIntegrateTheta2d:

@@ -26,6 +26,7 @@ from .context import QContext
 from .errors import CaseInvalid, ParamDomain, QFracError
 from .qcore import (
     bhs_terminating,
+    h_pole_strip,
     h_product_z,
     jtp_theta_series,
     qpoch_finite,
@@ -383,7 +384,8 @@ def _phi_fn(aval, beta, ctx):
     def ev(z):
         return h_product_z(z, [aval], ctx) / h_product_z(z, [aval * ctx.q**beta], ctx)
 
-    return op.AnalyticFn(ev, 1e-9, label=f"phi_{beta}(x;{aval:.3g})")
+    # the denominator's nearest poles sit at |z| = |aval| q^beta and its inverse
+    return op.AnalyticFn(ev, abs(aval) * ctx.q**beta, label=f"phi_{beta}(x;{aval:.3g})")
 
 
 def _run_I9(params, variant, ctx, tol):
@@ -580,16 +582,16 @@ def _w0_section6(thetas, a, c, a3, a4, ctx):
     ) ** 2
 
 
-def _coupling_integral(w0, zpair, s, ctx):
+def _coupling_integral(w0, w0_poles, zpair, s, ctx):
     """integral_0^pi w0(theta) P_s(theta, phi_1) P_s(theta, phi_2) d theta,
     with P_s the q-Hermite Poisson kernel and e^{i phi_j} given by zpair.
-    The kernels' poles bound the strip at -ln|s| (w0's poles lie further
-    out)."""
+    w0's poles are those of 1/h(cos theta; w0_poles); with the kernels' at
+    |Im theta| = -ln|s| they bound the strip of the integrand."""
 
     def igr(ths):
         return w0(ths) * np.prod(poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
 
-    res = integrate_theta(igr, ctx, strip=-math.log(abs(s)))
+    res = integrate_theta(igr, ctx, strip=h_pole_strip([s, *w0_poles]))
     return complex(converged_value(res, f"coupling integral at s={s:.6g}"))
 
 
@@ -615,8 +617,10 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
     z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
     br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [-1.0 / c, -c * q], ctx))
     br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [-1.0 / c, -c * q], ctx))
+    # h^2 cancels the first two poles of the shifted weight
     inner = _coupling_integral(
         lambda ths: _w0_section6(ths, a, c, a3, a4, ctx),
+        [q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4],
         np.array([z1, z2]), q ** (a / 2.0), ctx,
     )
     t_base = AWParams(-1.0 / c, -c * q, a3, a4)
@@ -675,7 +679,8 @@ def _run_I16(params, variant, ctx, tol):
                 h_product_z(np.exp(1j * phis), [-1.0 / c, -c * q], ctx))
 
         zv = np.exp(1j * np.atleast_1d(thetas))
-        res = op.poisson_integral(q ** (a / 2.0), g, zv, 1.0, ctx)
+        res = op.poisson_integral(q ** (a / 2.0), g, h_pole_strip([-1.0 / c, -c * q]), zv, 1.0,
+                                  ctx)
         return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
 
     def triple(m, n):
@@ -827,7 +832,7 @@ def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
             h_product_z(np.exp(1j * ths), [t1 * r, t2 * r], ctx)
         ) ** 2
 
-    inner = _coupling_integral(w0, np.array([z1, z2]), r, ctx)
+    inner = _coupling_integral(w0, [t3 / r, t4 / r], np.array([z1, z2]), r, ctx)
     return br1 * br2 * inner / aw_weight(phi2, t, ctx)
 
 

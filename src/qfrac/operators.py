@@ -9,9 +9,11 @@ divided differences consume that headroom one q^{1/2} layer per application.
 Composing past the annulus raises AnnulusExhausted instead of silently
 evaluating a wrong branch of the integral representation.
 
-The integral operators state their kernel's strip of analyticity, so at
-moderate t = q^{a/2}, q^{1/2} or r they run the periodic trapezoid rule and
-near t = 1 the adaptive one (see quadrature).  An integral that does not
+The integral operators state the strip in which their integrand is analytic,
+the narrower of the kernel's and the operand's (its annulus and the poles of
+its 1/h factor), so at moderate t = q^{a/2}, q^{1/2} or r, with the operand's
+poles not too near the contour, they run the periodic trapezoid rule, and the
+adaptive one otherwise (see quadrature).  An integral that does not
 converge raises NonConvergent; no operator returns an unconverged value.
 
 Operators:
@@ -40,7 +42,7 @@ import numpy as np
 from .chebyshev import cheb_apply_dq, cheb_eval, cheb_fit_adaptive
 from .context import QContext
 from .errors import AnnulusExhausted, DivisionNearZero, ParamDomain
-from .qcore import h_product_z, qpoch_infinite
+from .qcore import h_pole_strip, h_product_z, qpoch_infinite
 from .qfunctions import hermite_cq_all, poisson_kernel_z, q_exponential, weight_wH_sin
 from .quadrature import QuadResult, converged_value, integrate_theta
 
@@ -248,21 +250,20 @@ def apply_Dq(f: AnalyticFn, ctx: QContext) -> AnalyticFn:
 # K_{a,c} family
 # ---------------------------------------------------------------------------
 
-def poisson_integral(t, g, z, pref, ctx: QContext) -> QuadResult:
+def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
     """pref(z) * integral_0^pi w_H(cos phi) sin phi g(phi) P_t(phi, z) dphi for
     every z of a batch, with P_t = poisson_kernel_z the q-Hermite Poisson
-    kernel.  g maps an array of angles phi to g(phi); pref is a scalar or
-    one value per z.
+    kernel.  g maps an array of angles phi to g(phi) and is even, 2pi-periodic
+    and analytic for |Im phi| < g_strip; pref is a scalar or one value per z.
 
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
     per-component error budgets.
 
-    The kernel's poles lie at |Im phi| = -ln(|t| max(|z|, 1/|z|)), which is
-    the strip handed to integrate_theta (t = 0 makes the kernel constant):
-    moderate t gets the trapezoid rule, t near 1 the adaptive one.  The
-    strip of g is not stated; a narrower one only makes the rule double
-    further.
+    The kernel's poles lie at |Im phi| = -ln(|t| max(|z|, 1/|z|)) (t = 0
+    makes the kernel constant); integrate_theta gets the narrower of that and
+    g_strip, so moderate t and a g without poles near the contour get the
+    trapezoid rule, and the adaptive one runs otherwise.
     """
 
     def integrand(phis):
@@ -270,19 +271,20 @@ def poisson_integral(t, g, z, pref, ctx: QContext) -> QuadResult:
         return base[:, None] * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
 
     mods = np.abs(np.atleast_1d(z))
-    reach = abs(t) * float(np.max(np.maximum(mods, 1.0 / mods)))
-    strip = -math.log(reach) if reach > 0 else math.inf
-    return integrate_theta(integrand, ctx, strip=strip)
+    kernel_strip = h_pole_strip([t * float(np.max(np.maximum(mods, 1.0 / mods)))])
+    return integrate_theta(integrand, ctx, strip=min(kernel_strip, g_strip))
 
 
 def _over_h(f: AnalyticFn, params, ctx: QContext):
-    """phi -> f(e^{i phi}) / h(cos phi; params): the g of an integral operator."""
+    """phi -> f(e^{i phi}) / h(cos phi; params), the g of an integral operator,
+    and the strip in which g is analytic: f's annulus reaches
+    |Im phi| < -ln annulus_rho, and 1/h's poles bound it by h_pole_strip."""
 
     def g(phis):
         zeta = np.exp(1j * phis)
         return f(zeta) / h_product_z(zeta, params, ctx)
 
-    return g
+    return g, min(h_pole_strip([f.annulus_rho]), h_pole_strip(params))
 
 
 def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
@@ -303,12 +305,13 @@ def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     qa2 = q ** (a / 2.0)
     pref_const = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
     pref_params = [-c * q ** (1.0 - a / 2.0), -qa2 / c]
-    g = _over_h(f, [-1.0 / c, -c * q], ctx)
+    g, g_strip = _over_h(f, [-1.0 / c, -c * q], ctx)
     label = f"K[{a},{c}]({f.label})"
 
     def ev(zv):
         pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        return np.atleast_1d(converged_value(poisson_integral(qa2, g, zv, pref, ctx), label))
+        res = poisson_integral(qa2, g, g_strip, zv, pref, ctx)
+        return np.atleast_1d(converged_value(res, label))
 
     return AnalyticFn(ev, qa2, label=label, memoize=True)
 
@@ -325,14 +328,15 @@ def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     KParams(1.0, c).validate(ctx)
     q = ctx.q
     rq = math.sqrt(q)
-    g = _over_h(f, [-1.0 / c, -c * q], ctx)
+    g, g_strip = _over_h(f, [-1.0 / c, -c * q], ctx)
     label = f"Dq^-1[{c}]({f.label})"
 
     def ev(zv):
         pref = (1.0 / rq) * (1.0 - q) / (2.0 * c) * np.asarray(
             h_product_z(zv, [-c * rq, -rq / c], ctx)
         )
-        return np.atleast_1d(converged_value(poisson_integral(rq, g, zv, pref, ctx), label))
+        res = poisson_integral(rq, g, g_strip, zv, pref, ctx)
+        return np.atleast_1d(converged_value(res, label))
 
     return AnalyticFn(ev, rq, label=label, memoize=True)
 
@@ -474,12 +478,13 @@ def apply_T(p: TParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     degenerates to the rank-one projection onto h(.; a, b), since P_0 = 1)."""
     p.validate(ctx)
     a, b, r = p.a, p.b, p.r
-    g = _over_h(f, [a, b], ctx)
+    g, g_strip = _over_h(f, [a, b], ctx)
     label = f"T[{a},{b},{r}]({f.label})"
 
     def ev(zv):
         pref = np.asarray(h_product_z(zv, [a, b], ctx))
-        return np.atleast_1d(converged_value(poisson_integral(r, g, zv, pref, ctx), label))
+        res = poisson_integral(r, g, g_strip, zv, pref, ctx)
+        return np.atleast_1d(converged_value(res, label))
 
     rho = max(abs(r), 1e-9)
     return AnalyticFn(ev, rho, label=label, memoize=True)

@@ -29,6 +29,7 @@ __all__ = [
     "euler_product",
     "h_product",
     "h_product_z",
+    "h_pole_strip",
     "jtp_theta_series",
     "jtp_theta_logq_derivative_series",
     "bhs_terminating",
@@ -131,6 +132,15 @@ def h_product_z(z, params, ctx: QContext):
         out = out * _asarr(qpoch_infinite(aj * zv, ctx))
         out = out * _asarr(qpoch_infinite(aj / zv, ctx))
     return _maybe_scalar(out, z)
+
+
+def h_pole_strip(params) -> float:
+    """Half-width b of the strip |Im t| < b in which 1/h(cos t; params) is
+    analytic: its nearest poles sit at e^{+-it} = 1/a_j, so b = -ln max|a_j|
+    (math.inf when every parameter is 0, at most 0 when one has |a_j| >= 1).
+    """
+    reach = max((abs(a) for a in params), default=0.0)
+    return -math.log(reach) if reach > 0 else math.inf
 
 
 def h_product(theta, params, ctx: QContext):

@@ -209,13 +209,10 @@ def _err_ratio(err, value, mass, ctx: QContext) -> float:
 
 
 # Periodic trapezoid rule.  M starts at _TRAP_M0 and stops at the cap
-# _TRAP_MAX_M.  A stated strip selects the rule when its predicted M is at
-# most _TRAP_MAX_PRED; the three doublings between that and the cap are for
-# integrands whose operand or weight has poles closer than the stated ones.
-# After the first call (the _TRAP_M0 + 1 starting nodes) one f call gets at
-# most _TRAP_BLOCK nodes x components, which bounds the memory of a call.
+# _TRAP_MAX_M.  After the first call (the _TRAP_M0 + 1 starting nodes) one f
+# call gets at most _TRAP_BLOCK nodes x components, which bounds the memory
+# of a call.
 _TRAP_M0 = 16
-_TRAP_MAX_PRED = 1024
 _TRAP_MAX_M = 8192
 _TRAP_BLOCK = 4096
 
@@ -267,8 +264,11 @@ def integrate_theta(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi,
 
     strip, when given, states that f is even, 2pi-periodic and analytic for
     |Im phi| < strip (math.inf for an entire f), and needs the default
-    interval.  The trapezoid rule then runs if the size the strip predicts,
-    M = ln(1 / quad_rel_tol) / (2 strip), is at most _TRAP_MAX_PRED;
+    interval.  The trapezoid rule's error then falls like e^{-2 strip M}: it
+    meets quad_rel_tol near M_pred = ln(1 / quad_rel_tol) / (2 strip), and
+    the doubling that shows it, comparing I_M with I_{M/2}, comes near 2 to 4
+    M_pred.  The rule runs when 4 M_pred is at most half the cap _TRAP_MAX_M,
+    so only a strip stated wider than the true one reaches the cap;
     otherwise, and without strip, the adaptive rule runs.  Neither rule
     raises on failure: a depth or size cap is reported as converged=False on
     the best available value (see converged_value).
@@ -276,7 +276,8 @@ def integrate_theta(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi,
     if strip is not None:
         if (lo, hi) != (0.0, np.pi):
             raise ValueError("strip needs the default interval [0, pi]")
-        if strip > 0 and math.log(1.0 / ctx.quad_rel_tol) / (2.0 * strip) <= _TRAP_MAX_PRED:
+        m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * strip) if strip > 0 else math.inf
+        if 4.0 * m_pred <= _TRAP_MAX_M / 2:
             return _trapezoid(f, ctx)
     return _quad_vec(f, lo, hi, ctx)
 
@@ -287,7 +288,10 @@ def integrate_theta_2d(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi) -> 
     The outer adaptive pass integrates g(phi) = integral over psi, with f
     called as f(phi_scalar, psi_array).  The error estimate combines the
     outer estimate with the worst inner estimate scaled by the interval; it
-    converged when the outer and every inner integral did.
+    converged when the outer and every inner integral did and the combined
+    estimate is at most 10 quad_rel_tol |value|.  err_ratio is the worst of
+    the outer, the inner and the combined ratios, each against its own
+    allowance.
     """
     inner_err = 0.0
     inner_ratio = 0.0
@@ -307,6 +311,9 @@ def integrate_theta_2d(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi) -> 
         return out
 
     outer = _quad_vec(outer_integrand, lo, hi, ctx)
-    return QuadResult(outer.value, outer.err_est + inner_err * (hi - lo),
-                      outer.evals + inner_evals, outer.converged and inner_ok,
-                      max(outer.err_ratio, inner_ratio))
+    err = outer.err_est + inner_err * (hi - lo)
+    vscale = max(float(np.max(np.abs(np.atleast_1d(outer.value)))), _FLOOR_SCALE)
+    combined = err / (10.0 * ctx.quad_rel_tol * vscale)
+    return QuadResult(outer.value, err, outer.evals + inner_evals,
+                      outer.converged and inner_ok and combined <= 1.0,
+                      max(outer.err_ratio, inner_ratio, combined))

@@ -100,9 +100,26 @@ class TestBilinearKernels:
         assert kv / aw_weight(1.0, t_base, ctx05) == pytest.approx(sv, rel=1e-8)
         assert nterms < 120
 
+    def test_kernel6_weight_pole_near_contour(self, ctx05):
+        # |q^{-a/2} a3| = 0.9989: w_0's pole sits 1.1e-3 from the contour,
+        # far nearer than the kernels' at -ln q^{a/2} = 0.28
+        p = op.KParams(0.8, 1.3)
+        kv = idn.bilinear_kernel_6(1.0, 1.8, p, 0.757, 0.1, ctx05)
+        t_base = AWParams(-1 / 1.3, -1.3 * 0.5, 0.757, 0.1)
+        sv, _ = idn.bilinear_series_6(1.0, 1.8, p, 0.757, 0.1, ctx05)
+        assert kv / aw_weight(1.0, t_base, ctx05) == pytest.approx(sv, rel=1e-8)
+
     def test_kernel7_series_match(self, ctx05):
         p = op.TParams(0.4, 0.3, 0.5)
         t = AWParams(0.4, 0.3, 0.2, 0.1)
+        kv = idn.bilinear_kernel_7(0.7, 2.2, p, t, ctx05)
+        sv, _ = idn.bilinear_series_7(0.7, 2.2, p, t, ctx05)
+        assert kv / aw_weight(0.7, t, ctx05) == pytest.approx(sv, rel=1e-8)
+
+    def test_kernel7_weight_pole_near_contour(self, ctx05):
+        # |t3/r| = 0.9983: W_0's pole sits 1.7e-3 from the contour
+        p = op.TParams(0.4, 0.3, 0.3)
+        t = AWParams(0.4, 0.3, 0.2995, 0.1)
         kv = idn.bilinear_kernel_7(0.7, 2.2, p, t, ctx05)
         sv, _ = idn.bilinear_series_7(0.7, 2.2, p, t, ctx05)
         assert kv / aw_weight(0.7, t, ctx05) == pytest.approx(sv, rel=1e-8)

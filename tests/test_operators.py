@@ -72,7 +72,7 @@ class TestPoissonIntegral:
         for t in (0.4, -0.35, 0.0):
             for n in range(4):
                 res = op.poisson_integral(
-                    t, lambda phis: hermite_cq_all(n, np.cos(phis), ctx05)[n],
+                    t, lambda phis: hermite_cq_all(n, np.cos(phis), ctx05)[n], math.inf,
                     np.exp(1j * grid), 1.0, ctx05)
                 assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
 
@@ -84,7 +84,7 @@ class TestPoissonIntegral:
         def g(phis):
             return np.cos(phis) ** 2
 
-        res = op.poisson_integral(t, g, z, 1.0, ctx05)
+        res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
 
         def igr(phis):
             return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
@@ -94,6 +94,18 @@ class TestPoissonIntegral:
         assert res.converged
         assert res.evals == ref.evals
         assert np.array_equal(res.value, ref.value)
+
+    def test_operand_poles_near_contour(self):
+        # 1/h(.; 0.999, 0.3) in T and 1/h(.; -1/c, -cq) at cq = 0.9975 in K put
+        # poles 1e-3 and 2.5e-3 from the contour, where the kernels' lie at
+        # 0.69 and 0.18: the stated strip must be the operand's
+        for cid, params in (
+                ("I21", {"q": 0.5, "t1": 0.999, "t2": 0.3, "t3": 0.2, "t4": 0.1,
+                         "r": 0.5, "n": 0}),
+                ("I9", {"q": 0.7, "a": 0.5, "c": 1.425, "beta": 0.0})):
+            params["grid_points"] = 5
+            rep = idn._run_case(idn.IdentityCase(cid, params), QContext(q=params["q"]))
+            assert rep.status == "pass", rep.residual.notes
 
     def test_unconverged_integral_fails_the_case(self):
         ctx = QContext(q=0.5, quad_max_depth=1)

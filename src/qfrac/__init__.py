@@ -43,7 +43,7 @@ from .qfunctions import (
     weight_wH,
     weight_wH_sin,
 )
-from .quadrature import QuadResult, integrate_theta, integrate_theta_2d
+from .quadrature import QuadResult, integrate_theta
 from .operators import (
     AnalyticFn,
     KParams,

@@ -7,7 +7,8 @@
     qfrac eval     --fn hermite --q 0.5 --n 3 --theta 0.5,1.0
     qfrac selftest
 
-Exit status: 0 all checks passed, 1 a check failed, 2 usage/parameter error.
+Exit status: 0 all checks passed, 1 a check failed (a numerical breakdown
+such as NonConvergent included), 2 usage/parameter error.
 Reports are byte-identical across runs for a fixed configuration; the JSON
 "seconds" field is therefore null unless --timings is given.  CSV cells use
 17 significant digits, '.' decimal, ',' separator.
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -67,11 +70,7 @@ def _write(path, text):
 
 def _collect_params(args) -> dict:
     params = {"q": args.q}
-    for name in _PARAM_FLAGS:
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
-    for name in _INT_FLAGS:
+    for name in _PARAM_FLAGS + _INT_FLAGS:
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
@@ -110,18 +109,17 @@ def cmd_verify(args) -> int:
     if getattr(args, "z", None) is not None:
         params["z"] = args.z
     case = idn.IdentityCase(args.id, params, variant=args.variant)
-    try:
-        res = idn.run_identity(case)
-    except (CaseInvalid, ParamDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    rep = idn.run_case(case)
+    if rep.status == "skip":
+        print(f"error: {rep.skip_reason}", file=sys.stderr)
         return 2
+    res = rep.residual
     line = (f"{case.key()}: max_abs={_fmt(res.max_abs)} max_rel={_fmt(res.max_rel)} "
             f"passed={res.passed}" + (f" [{res.notes}]" if res.notes else ""))
     print(line)
     if args.out:
-        _write(args.out, _json_text([_report_row(
-            idn.IdentityReport(case, res, "pass" if res.passed else "fail"), args.timings)]))
-    return 0 if res.passed else 1
+        _write(args.out, _json_text([_report_row(rep, args.timings)]))
+    return 0 if rep.status == "pass" else 1
 
 
 def cmd_suite(args) -> int:
@@ -159,37 +157,30 @@ def cmd_suite(args) -> int:
 
 def cmd_kernel(args) -> int:
     ctx = QContext(q=args.q)
-    pts = np.linspace(0.6, np.pi - 0.6, args.points)
-    rows = []
+    pts = [float(p) for p in np.linspace(0.6, np.pi - 0.6, args.points)]
     try:
         if args.section == 6:
             if args.a is None or args.c is None or args.a3 is None or args.a4 is None:
                 print("error: kernel --section 6 needs --a --c --a3 --a4", file=sys.stderr)
                 return 2
-            p = op.KParams(args.a, args.c)
             t_base = AWParams(-1.0 / args.c, -args.c * args.q, args.a3, args.a4)
-            for i, p1 in enumerate(pts):
-                p2 = pts[(i + 1) % len(pts)] if len(pts) > 1 else p1
-                kv = idn.bilinear_kernel_6(float(p1), float(p2), p, args.a3, args.a4, ctx) \
-                    / aw_weight(float(p1), t_base, ctx)
-                sv, _ = idn.bilinear_series_6(float(p1), float(p2), p, args.a3, args.a4, ctx)
-                rows.append([float(p1), float(p2), kv, sv, abs(kv - sv)])
-        elif args.section == 7:
-            need = (args.t1, args.t2, args.t3, args.t4, args.r)
-            if any(v is None for v in need):
+            fixed = dict(p=op.KParams(args.a, args.c), a3=args.a3, a4=args.a4, ctx=ctx)
+            kernel = partial(idn.bilinear_kernel_6, **fixed)
+            series = partial(idn.bilinear_series_6, **fixed)
+        else:
+            if any(v is None for v in (args.t1, args.t2, args.t3, args.t4, args.r)):
                 print("error: kernel --section 7 needs --t1..--t4 --r", file=sys.stderr)
                 return 2
-            p = op.TParams(args.t1, args.t2, args.r)
-            t = AWParams(args.t1, args.t2, args.t3, args.t4)
-            for i, p1 in enumerate(pts):
-                p2 = pts[(i + 1) % len(pts)] if len(pts) > 1 else p1
-                kv = idn.bilinear_kernel_7(float(p1), float(p2), p, t, ctx) \
-                    / aw_weight(float(p1), t, ctx)
-                sv, _ = idn.bilinear_series_7(float(p1), float(p2), p, t, ctx)
-                rows.append([float(p1), float(p2), kv, sv, abs(kv - sv)])
-        else:
-            print("error: --section must be 6 or 7", file=sys.stderr)
-            return 2
+            t_base = AWParams(args.t1, args.t2, args.t3, args.t4)
+            fixed = dict(p=op.TParams(args.t1, args.t2, args.r), t=t_base, ctx=ctx)
+            kernel = partial(idn.bilinear_kernel_7, **fixed)
+            series = partial(idn.bilinear_series_7, **fixed)
+        rows = []
+        for i, p1 in enumerate(pts):
+            p2 = pts[(i + 1) % len(pts)]
+            kv = kernel(p1, p2) / aw_weight(p1, t_base, ctx)
+            sv, _ = series(p1, p2)
+            rows.append([p1, p2, kv, sv, abs(kv - sv)])
     except (ParamDomain, CaseInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -222,14 +213,17 @@ def cmd_sweep(args) -> int:
         params.update(combo)
         if "n" in params:
             params["n"] = int(params["n"])
-        case = idn.IdentityCase(args.id, params, variant=args.variant)
-        try:
-            res = idn.run_identity(case)
-            status = "pass" if res.passed else "fail"
-            worst_fail = worst_fail or not res.passed
-            rows.append([*(combo[n] for n, _ in axes), res.max_abs, res.max_rel, status])
-        except (CaseInvalid, ParamDomain) as exc:
-            rows.append([*(combo[n] for n, _ in axes), "", "", f"skip: {exc}"])
+        rep = idn.run_case(idn.IdentityCase(args.id, params, variant=args.variant))
+        res = rep.residual
+        if res is None:
+            reason = rep.skip_reason.replace(",", ";")
+            rows.append([*(combo[n] for n, _ in axes), "", "", f"skip: {reason}"])
+            continue
+        worst_fail = worst_fail or rep.status == "fail"
+        # a residual that could not be computed carries its reason
+        status = (rep.status if math.isfinite(res.max_rel)
+                  else "fail: " + res.notes.replace(",", ";"))
+        rows.append([*(combo[n] for n, _ in axes), res.max_abs, res.max_rel, status])
     header = [n for n, _ in axes] + ["max_abs", "max_rel", "status"]
     _write(args.out, _csv_text(header, rows))
     return 1 if worst_fail else 0

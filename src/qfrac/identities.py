@@ -42,6 +42,7 @@ from .qfunctions import (
     poisson_kernel,
     poisson_kernel_z,
     q_exponential,
+    q_exponential_x,
     theta_grid,
     weight_wH_sin,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "run_identity",
+    "run_case",
     "run_suite",
     "variant_groups_ok",
     "suite_failures",
@@ -144,21 +146,33 @@ def _merge(parts: list[Residual], tol: float, notes: str = "") -> Residual:
     )
 
 
-def _k_test_fns(c: float, ctx: QContext):
-    """Three-element test set for K-family operator identities."""
-    return [
-        op.analytic_from_x(lambda x: np.ones_like(x), label="1"),
-        op.analytic_from_x(lambda x: 2.0 * x * x - 1.0, label="cos2t"),
-        op.eigen_k_basis(c, 1, ctx),
-    ]
+def _cos2t() -> op.AnalyticFn:
+    return op.analytic_from_x(lambda x: 2.0 * x * x - 1.0, label="cos2t")
 
 
-def _t_test_fns(a, b, ctx: QContext):
-    return [
-        op.analytic_from_x(lambda x: np.ones_like(x), label="1"),
-        op.analytic_from_x(lambda x: 2.0 * x * x - 1.0, label="cos2t"),
-        op.eigen_t_basis(a, b, 2, ctx),
-    ]
+def _test_fns(eigenfunction: op.AnalyticFn):
+    """Three-element test set for operator identities: 1, cos 2 theta and an
+    eigenfunction of the family."""
+    return [op.analytic_from_x(lambda x: np.ones_like(x), label="1"), _cos2t(), eigenfunction]
+
+
+def _k_op(a, c, ctx: QContext):
+    """f -> K_{a,c} f; op.apply_K is looked up at each call, so an instrumented
+    replacement of the module attribute sees every application."""
+    return lambda f: op.apply_K(op.KParams(a, c), f, ctx)
+
+
+def _t_op(a, b, r, ctx: QContext):
+    """f -> T(a,b,r) f, with op.apply_T looked up at each call likewise."""
+    return lambda f: op.apply_T(op.TParams(a, b, r), f, ctx)
+
+
+def _poch_ratio(a, beta, ctx: QContext) -> complex:
+    """(q^{a+beta+1}; q)_oo / (q^{beta+1}; q)_oo."""
+    q = ctx.q
+    return complex(qpoch_infinite(q ** (a + beta + 1.0), ctx)) / complex(
+        qpoch_infinite(q ** (beta + 1.0), ctx)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +255,42 @@ def _run_I0d(params, variant, ctx, tol):
 # K family I1-I5
 # ---------------------------------------------------------------------------
 
-def _run_I1(params, variant, ctx, tol):
-    """Composition law K_{b, c q^{-a/2}} K_{a,c} = K_{a+b,c}."""
-    a, b, c = params["a"], params["b"], params["c"]
+def _composition(outer, inner, whole, fns, params, tol):
+    """A composition law outer(inner f) == whole f on the test functions fns."""
     grid = _grid(params)
-    outer = op.KParams(b, c * ctx.q ** (-a / 2.0))
-    outer.validate(ctx)
-    op.KParams(a + b, c).validate(ctx)
     parts = []
-    for f in _k_test_fns(c, ctx):
-        inner = op.apply_K(op.KParams(a, c), f, ctx)
-        lhs = op.apply_K(outer, inner, ctx).on_theta(grid)
-        rhs = op.apply_K(op.KParams(a + b, c), f, ctx).on_theta(grid)
-        parts.append(_resid(lhs, rhs, tol, notes=f.label))
+    for f in fns:
+        lhs = outer(inner(f)).on_theta(grid)
+        parts.append(_resid(lhs, whole(f).on_theta(grid), tol, notes=f.label))
     return _merge(parts, tol)
 
 
+def _run_I1(params, variant, ctx, tol):
+    """Composition law K_{b, c q^{-a/2}} K_{a,c} = K_{a+b,c}."""
+    a, b, c = params["a"], params["b"], params["c"]
+    c_outer = c * ctx.q ** (-a / 2.0)
+    op.KParams(b, c_outer).validate(ctx)
+    op.KParams(a + b, c).validate(ctx)
+    return _composition(_k_op(b, c_outer, ctx), _k_op(a, c, ctx), _k_op(a + b, c, ctx),
+                        _test_fns(op.eigen_k_basis(c, 1, ctx)), params, tol)
+
+
+def _limit_ladder(op_at, ladder, params, verdict):
+    """An identity limit on f = cos 2 theta: the sup-residual |op_at(s) f - f|
+    at each rung s of the ladder.  verdict(residuals) returns the pass flag
+    and the notes that follow the residuals."""
+    grid = _grid(params)
+    f = _cos2t()
+    fref = np.asarray(f.on_theta(grid))
+    res = [float(np.max(np.abs(op_at(s)(f).on_theta(grid) - fref))) for s in ladder]
+    passed, tail = verdict(res)
+    notes = "residuals=" + ",".join(f"{r:.3e}" for r in res) + "; " + tail
+    return Residual(res[-1], res[-1], len(grid) * len(res), 1.0, passed, notes)
+
+
+# the rungs of the identity-limit ladders: a -> 0+ (I2) and r -> 1- (I18)
 _I2_LADDER = (0.1, 0.03, 0.01)
+_I18_LADDER = (0.9, 0.99, 0.999)
 
 
 def _run_I2(params, variant, ctx, tol):
@@ -267,19 +300,13 @@ def _run_I2(params, variant, ctx, tol):
     by at least 3x overall.  (The per-step ratio for 0.03 -> 0.01 sits at
     3 (1 - O(a)) < 3 because the error is C a with a concave correction, so
     only the whole-ladder factor is a robust criterion.)"""
-    c = params["c"]
-    grid = _grid(params)
-    f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0, label="cos2t")
-    fref = np.asarray(f.on_theta(grid))
-    res = []
-    for a in _I2_LADDER:
-        kf = op.apply_K(op.KParams(a, c), f, ctx).on_theta(grid)
-        res.append(float(np.max(np.abs(kf - fref))))
-    monotone = all(r1 > r2 for r1, r2 in zip(res, res[1:]))
-    overall = res[0] / max(res[-1], _FLOOR)
-    passed = monotone and overall >= 3.0
-    notes = "residuals=" + ",".join(f"{r:.3e}" for r in res) + f"; overall_ratio={overall:.2f}"
-    return Residual(res[-1], res[-1], len(grid) * len(res), 1.0, passed, notes)
+
+    def verdict(res):
+        monotone = all(r1 > r2 for r1, r2 in zip(res, res[1:]))
+        overall = res[0] / max(res[-1], _FLOOR)
+        return monotone and overall >= 3.0, f"overall_ratio={overall:.2f}"
+
+    return _limit_ladder(lambda a: _k_op(a, params["c"], ctx), _I2_LADDER, params, verdict)
 
 
 def _run_I3(params, variant, ctx, tol):
@@ -287,45 +314,40 @@ def _run_I3(params, variant, ctx, tol):
     a, c = params["a"], params["c"]
     if a <= 1.0:
         raise CaseInvalid("lowering needs a > 1")
+    return _composition(lambda g: op.apply_Dq(g, ctx), _k_op(a, c, ctx), _k_op(a - 1.0, c, ctx),
+                        _test_fns(op.eigen_k_basis(c, 1, ctx)), params, tol)
+
+
+def _eigen_actions(apply, basis, eigen, ns, params, tol, notes=""):
+    """An eigen-action apply(f_n) == eigen(n, f_n, grid), f_n = basis(n), for
+    each n in ns."""
     grid = _grid(params)
     parts = []
-    for f in _k_test_fns(c, ctx):
-        ka = op.apply_K(op.KParams(a, c), f, ctx)
-        lhs = op.apply_Dq(ka, ctx).on_theta(grid)
-        rhs = op.apply_K(op.KParams(a - 1.0, c), f, ctx).on_theta(grid)
-        parts.append(_resid(lhs, rhs, tol, notes=f.label))
-    return _merge(parts, tol)
+    for n in ns:
+        f = basis(n)
+        lhs = apply(f).on_theta(grid)
+        parts.append(_resid(lhs, eigen(n, f, grid), tol, notes=f"n={n}"))
+    return _merge(parts, tol, notes=notes)
 
 
 def _run_I4(params, variant, ctx, tol):
     """Left inverse D_q^{floor(a)+1} K_{1-frac(a), c'} K_{a,c} = I on the
     eigenbasis test set; variants choose c' = c q^{-a/2} / c q^{-a}."""
-    a, c = params["a"], params["c"]
+    p = op.KParams(params["a"], params["c"])
     expo = {"half": 0.5, "full": 1.0}[variant or "half"]
-    grid = _grid(params)
-    parts = []
-    for n in (1, 2):
-        f = op.eigen_k_basis(c, n, ctx)
-        rec = op.left_inverse_apply(op.KParams(a, c), f, ctx, middle_exponent=expo)
-        parts.append(_resid(rec.on_theta(grid), np.asarray(f.on_theta(grid)), tol,
-                            notes=f"n={n}"))
-    return _merge(parts, tol)
+    return _eigen_actions(lambda f: op.left_inverse_apply(p, f, ctx, middle_exponent=expo),
+                          lambda n: op.eigen_k_basis(p.c, n, ctx),
+                          lambda n, f, grid: np.asarray(f.on_theta(grid)), (1, 2), params, tol)
 
 
 def _run_I5(params, variant, ctx, tol):
     """Eigen-action of K_{a,c} against the closed form, n <= nmax."""
-    a, c = params["a"], params["c"]
-    nmax = int(params.get("n", 8))
-    grid = _grid(params)
-    p = op.KParams(a, c)
+    p = op.KParams(params["a"], params["c"])
     p.validate(ctx)
-    parts = []
-    for n in range(nmax + 1):
-        f = op.eigen_k_basis(c, n, ctx)
-        lhs = op.apply_K(p, f, ctx).on_theta(grid)
-        rhs = op.apply_K_eigen(p, n, grid, ctx)
-        parts.append(_resid(lhs, rhs, tol, notes=f"n={n}"))
-    return _merge(parts, tol, notes=f"n<={nmax}")
+    nmax = int(params.get("n", 8))
+    return _eigen_actions(_k_op(p.a, p.c, ctx), lambda n: op.eigen_k_basis(p.c, n, ctx),
+                          lambda n, f, grid: op.apply_K_eigen(p, n, grid, ctx),
+                          range(nmax + 1), params, tol, notes=f"n<={nmax}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +391,7 @@ def _run_I8(params, variant, ctx, tol):
     mid.validate(ctx, allow_zero_a=True)
     grid = _grid(params)
     lhs = op.generator_fd(op.eigen_k_basis(c, n, ctx), a, c, grid, ctx, delta=1e-3)
-    pn = ctx.q ** (a * (a - 3.0) / 4.0 + n * a / 2.0) * ((1.0 - ctx.q) / (2.0 * c)) ** a
-    rhs = pn * np.asarray(op.apply_J_series(mid, n, grid, ctx))
+    rhs = op.k_norm(a, c, ctx.q, n) * np.asarray(op.apply_J_series(mid, n, grid, ctx))
     return _resid(lhs, rhs, tol, notes=f"c'={cv:.6g}")
 
 
@@ -388,38 +409,33 @@ def _phi_fn(aval, beta, ctx):
     return op.AnalyticFn(ev, abs(aval) * ctx.q**beta, label=f"phi_{beta}(x;{aval:.3g})")
 
 
-def _run_I9(params, variant, ctx, tol):
-    """K_{a,c} phi_beta(x; -1/c) in closed form."""
-    a, c, beta = params["a"], params["c"], params["beta"]
-    q = ctx.q
-    grid = _grid(params)
-    p = op.KParams(a, c)
-    lhs = op.apply_K(p, _phi_fn(-1.0 / c, beta, ctx), ctx).on_theta(grid)
-    pref = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    ratio = complex(qpoch_infinite(q ** (a + beta + 1.0), ctx)) / complex(
-        qpoch_infinite(q ** (beta + 1.0), ctx)
-    )
-    z = np.exp(1j * grid)
-    phi_b = np.asarray(_phi_fn(-q ** (a / 2.0) / c, beta, ctx)(z))
-    phi_a = np.asarray(_phi_fn(-c * q ** (1.0 - a / 2.0), a, ctx)(z))
-    rhs = pref * ratio * phi_b * phi_a
-    return _resid(lhs, rhs, tol)
+def _run_phi_action(first, image):
+    """Runner of K_{a,c} phi_beta(x; alpha), alpha = first(c, q) one of -1/c
+    (I9) and -cq (I10), against
+
+        C (q^{a+beta+1}; q)_oo / (q^{beta+1}; q)_oo prod_j phi_{beta_j}(x; alpha_j)
+
+    with C = op.k_norm and the pairs (alpha_j, beta_j) = image(a, c, beta, q).
+    """
+
+    def run(params, variant, ctx, tol):
+        a, c, beta = params["a"], params["c"], params["beta"]
+        q = ctx.q
+        grid = _grid(params)
+        lhs = _k_op(a, c, ctx)(_phi_fn(first(c, q), beta, ctx)).on_theta(grid)
+        rhs = op.k_norm(a, c, q) * _poch_ratio(a, beta, ctx)
+        for alpha_j, beta_j in image(a, c, beta, q):
+            rhs = rhs * np.asarray(_phi_fn(alpha_j, beta_j, ctx)(np.exp(1j * grid)))
+        return _resid(lhs, rhs, tol)
+
+    return run
 
 
-def _run_I10(params, variant, ctx, tol):
-    """Companion action: K_{a,c} phi_beta(x; -c q) = ... phi_{a+beta}(x; -c q^{1-a/2})."""
-    a, c, beta = params["a"], params["c"], params["beta"]
-    q = ctx.q
-    grid = _grid(params)
-    lhs = op.apply_K(op.KParams(a, c), _phi_fn(-c * q, beta, ctx), ctx).on_theta(grid)
-    pref = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    ratio = complex(qpoch_infinite(q ** (a + beta + 1.0), ctx)) / complex(
-        qpoch_infinite(q ** (beta + 1.0), ctx)
-    )
-    rhs = pref * ratio * np.asarray(
-        _phi_fn(-c * q ** (1.0 - a / 2.0), a + beta, ctx)(np.exp(1j * grid))
-    )
-    return _resid(lhs, rhs, tol)
+_run_I9 = _run_phi_action(
+    lambda c, q: -1.0 / c,
+    lambda a, c, beta, q: [(-q ** (a / 2.0) / c, beta), (-c * q ** (1.0 - a / 2.0), a)])
+_run_I10 = _run_phi_action(
+    lambda c, q: -c * q, lambda a, c, beta, q: [(-c * q ** (1.0 - a / 2.0), a + beta)])
 
 
 def _run_I11(params, variant, ctx, tol):
@@ -434,8 +450,6 @@ def _run_I11(params, variant, ctx, tol):
     grid = _grid(params)
     base = variant or "q2"
 
-    from .qfunctions import q_exponential_x
-
     def fev(z):
         x = (z + 1.0 / z) / 2.0
         return np.asarray(h_product_z(z, [-1.0 / c, -c * q], ctx)) * np.asarray(
@@ -443,14 +457,9 @@ def _run_I11(params, variant, ctx, tol):
         )
 
     f = op.AnalyticFn(fev, 1e-9, label="h*Eq")
-    lhs = op.apply_K(op.KParams(a, c), f, ctx).on_theta(grid)
-    pref = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    bctx = ctx.with_q(q * q) if base == "q2" else ctx
-    ratio = complex(qpoch_infinite(q ** (a + 1.0) * tval * tval, bctx)) / complex(
-        qpoch_infinite(q * tval * tval, bctx)
-    )
+    lhs = _k_op(a, c, ctx)(f).on_theta(grid)
     z = np.exp(1j * grid)
-    rhs = pref * ratio * np.asarray(
+    rhs = op.k_norm(a, c, q) * op.eq_ratio(a, tval, base, ctx) * np.asarray(
         h_product_z(z, [-q ** (a / 2.0) / c, -c * q ** (1.0 - a / 2.0)], ctx)
     ) * np.asarray(q_exponential(grid, tval * q ** (a / 2.0), ctx))
     return _resid(lhs, rhs, tol, notes=f"base={base}")
@@ -479,6 +488,32 @@ def _aw_fn(n, t: AWParams, ctx):
                               label=f"p_{n}")
 
 
+def _shift6(a, c, a3, a4, q) -> AWParams:
+    """(-q^{a/2}/c, -c q^{1+a/2}, q^{-a/2} a3, q^{-a/2} a4): the section-6
+    image quadruple of (-1/c, -cq, a3, a4)."""
+    return AWParams(-q ** (a / 2.0) / c, -c * q ** (1.0 + a / 2.0),
+                    q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4)
+
+
+def _c6(a, n, ctx: QContext) -> complex:
+    """C_n = (q^{a+n+1}; q)_oo / (q^{n+1}; q)_oo q^{an/2}."""
+    return _poch_ratio(a, n, ctx) * ctx.q ** (a * n / 2.0)
+
+
+def _k_on_aw(n, t: AWParams, params, ctx):
+    """K_{a,c} p_n(.; t) on the grid, with the grid, z = e^{i theta} on it,
+    and the two factors of every section-6 closed form:
+    (q^{a+1}; q)_oo / (q; q)_oo and h(x; -c q^{1-a/2}) / h(x; -c q^{1+a/2})."""
+    a, c, q = params["a"], params["c"], ctx.q
+    grid = _grid(params)
+    lhs = _k_op(a, c, ctx)(_aw_fn(n, t, ctx)).on_theta(grid)
+    z = np.exp(1j * grid)
+    hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
+        h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
+    )
+    return grid, z, lhs, _poch_ratio(a, 0, ctx), hrat
+
+
 def _run_5phi4(first):
     """Runner of K_{a,c} p_n(.; alpha, a2, a3, a4) against the 5phi4 closed
     form, alpha = first(c, q) one of the two parameters -1/c (I13) and -cq
@@ -495,18 +530,11 @@ def _run_5phi4(first):
         a2, a3, a4 = params["a2"], params["a3"], params["a4"]
         q = ctx.q
         alpha = first(c, q)
-        grid = _grid(params)
-        t = AWParams(alpha, a2, a3, a4)
-        lhs = op.apply_K(op.KParams(a, c), _aw_fn(n, t, ctx), ctx).on_theta(grid)
-        z = np.exp(1j * grid)
-        pref = alpha ** (-n) * q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
+        _, z, lhs, ratio, hrat = _k_on_aw(n, AWParams(alpha, a2, a3, a4), params, ctx)
+        pref = op.k_norm(a, c, q, factor=alpha ** (-n))
         pochs = complex(
             qpoch_finite(a2 * alpha, n, ctx) * qpoch_finite(a3 * alpha, n, ctx)
             * qpoch_finite(a4 * alpha, n, ctx)
-        )
-        ratio = complex(qpoch_infinite(q ** (a + 1.0), ctx)) / complex(qpoch_infinite(q, ctx))
-        hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
-            h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
         )
         upper = [q ** (-n), q ** (n - 1) * alpha * a2 * a3 * a4, q,
                  q ** (a / 2.0) * alpha * z, q ** (a / 2.0) * alpha / z]
@@ -526,16 +554,9 @@ def _run_I15(params, variant, ctx, tol):
     q = ctx.q
     if abs(q ** (-a / 2.0) * a3) >= 1.0 or abs(q ** (-a / 2.0) * a4) >= 1.0:
         raise ParamDomain("shifted parameters q^{-a/2} a_j leave the unit disc")
-    grid = _grid(params)
-    t = AWParams(-1.0 / c, -c * q, a3, a4)
-    lhs = op.apply_K(op.KParams(a, c), _aw_fn(n, t, ctx), ctx).on_theta(grid)
-    z = np.exp(1j * grid)
-    ratio = complex(qpoch_infinite(q ** (a + 1.0), ctx)) / complex(qpoch_infinite(q, ctx))
-    hrat = np.asarray(h_product_z(z, [-q ** (1.0 - a / 2.0) * c], ctx)) / np.asarray(
-        h_product_z(z, [-c * q ** (1.0 + a / 2.0)], ctx)
-    )
+    grid, z, lhs, ratio, hrat = _k_on_aw(n, AWParams(-1.0 / c, -c * q, a3, a4), params, ctx)
     # reduced 4phi3 closed form
-    pref = (-1.0) ** n * q ** (a * (a - 3.0) / 4.0) * c**n * ((1.0 - q) / (2.0 * c)) ** a
+    pref = op.k_norm(a, c, q, factor=(-1.0) ** n * c**n)
     pochs = complex(
         qpoch_finite(q, n, ctx) * qpoch_finite(-a3 / c, n, ctx)
         * qpoch_finite(-a4 / c, n, ctx)
@@ -546,53 +567,55 @@ def _run_I15(params, variant, ctx, tol):
         bhs_terminating(upper, lower, q, n, ctx)
     )
     # transmutation closed form
-    cn = complex(qpoch_infinite(q ** (a + n + 1.0), ctx)) / complex(
-        qpoch_infinite(q ** (n + 1.0), ctx)
-    ) * q ** (a * n / 2.0)
-    tsh = AWParams(-q ** (a / 2.0) / c, -c * q ** (1.0 + a / 2.0),
-                   q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4)
-    rhs_trans = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a * cn * hrat \
-        * aw_polynomial(n, grid, tsh, ctx)
+    rhs_trans = op.k_norm(a, c, q) * _c6(a, n, ctx) * hrat \
+        * aw_polynomial(n, grid, _shift6(a, c, a3, a4, q), ctx)
     return _merge([
         _resid(lhs, rhs_405, tol, notes="4phi3"),
         _resid(lhs, rhs_trans, tol, notes="transmutation"),
     ], tol)
 
 
+def _bilinear_constants(n, t_shift: AWParams, t_base: AWParams, cn, ctx: QContext):
+    """(M_n(t_shift), M_n(t_base), c_n) as reals: the constants of a bilinear
+    formula."""
+    return (float(np.real(aw_norm_Mn(n, t_shift, ctx))),
+            float(np.real(aw_norm_Mn(n, t_base, ctx))), float(np.real(cn)))
+
+
 def section6_constants(n: int, a: float, c: float, a3, a4, ctx: QContext):
     """(A_n, B_n, C_n) of the section-6 bilinear formula."""
-    q = ctx.q
-    t_shift = AWParams(-q ** (a / 2.0) / c, -q ** (1.0 + a / 2.0) * c,
-                       q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4)
-    t_base = AWParams(-1.0 / c, -c * q, a3, a4)
-    An = aw_norm_Mn(n, t_shift, ctx)
-    Bn = aw_norm_Mn(n, t_base, ctx)
-    Cn = complex(qpoch_infinite(q ** (a + n + 1.0), ctx)) / complex(
-        qpoch_infinite(q ** (n + 1.0), ctx)
-    ) * q ** (a * n / 2.0)
-    return float(np.real(An)), float(np.real(Bn)), float(np.real(Cn))
+    return _bilinear_constants(n, _shift6(a, c, a3, a4, ctx.q),
+                               AWParams(-1.0 / c, -c * ctx.q, a3, a4), _c6(a, n, ctx), ctx)
 
 
-def _w0_section6(thetas, a, c, a3, a4, ctx):
-    q = ctx.q
-    t_shift = AWParams(-q ** (a / 2.0) / c, -q ** (1.0 + a / 2.0) * c,
-                       q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4)
-    return aw_weight(thetas, t_shift, ctx) * np.asarray(
-        h_product_z(np.exp(1j * thetas), [-c * q ** (1.0 + a / 2.0), -q ** (a / 2.0) / c], ctx)
+def _w0(ths, t_shift: AWParams, h_params, ctx: QContext):
+    """w(cos theta; t_shift) h(cos theta; h_params)^2, the coupling weight of
+    the bilinear kernels (h^2 cancels two of w's poles)."""
+    return aw_weight(ths, t_shift, ctx) * np.asarray(
+        h_product_z(np.exp(1j * ths), h_params, ctx)
     ) ** 2
 
 
-def _coupling_integral(w0, w0_poles, zpair, s, ctx):
-    """integral_0^pi w0(theta) P_s(theta, phi_1) P_s(theta, phi_2) d theta,
-    with P_s the q-Hermite Poisson kernel and e^{i phi_j} given by zpair.
-    w0's poles are those of 1/h(cos theta; w0_poles); with the kernels' at
-    |Im theta| = -ln|s| they bound the strip of the integrand."""
+def _bilinear_kernel(phi1, phi2, h_params, t_shift: AWParams, w0_h, s, t_base: AWParams,
+                     ctx: QContext) -> complex:
+    """[w_H sin phi1 / h(phi1; h_params)] [w_H sin phi2 / h(phi2; h_params)]
+    / w(phi2; t_base) * integral_0^pi w0(theta) P_s(theta, phi1) P_s(theta, phi2) dtheta
+    with w0 = _w0(., t_shift, w0_h) and P_s the q-Hermite Poisson kernel: the
+    kernel of both bilinear formulas.  The poles w0 keeps, those of
+    1/h(cos theta; t_shift.t3, t_shift.t4), and the kernels' at
+    |Im theta| = -ln|s| bound the strip of the integrand."""
+    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
+    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, h_params, ctx))
+    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, h_params, ctx))
+    zpair = np.array([z1, z2])
 
     def igr(ths):
-        return w0(ths) * np.prod(poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
+        return _w0(ths, t_shift, w0_h, ctx) * np.prod(
+            poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
 
-    res = integrate_theta(igr, ctx, strip=h_pole_strip([s, *w0_poles]))
-    return complex(converged_value(res, f"coupling integral at s={s:.6g}"))
+    res = integrate_theta(igr, ctx, strip=h_pole_strip([s, t_shift.t3, t_shift.t4]))
+    inner = complex(converged_value(res, f"coupling integral at s={s:.6g}"))
+    return br1 * br2 * inner / aw_weight(phi2, t_base, ctx)
 
 
 def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
@@ -614,17 +637,9 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
                     (c * q ** (1.0 + a / 2.0), "c q^{1+a/2}")):
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in w_0")
-    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [-1.0 / c, -c * q], ctx))
-    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [-1.0 / c, -c * q], ctx))
-    # h^2 cancels the first two poles of the shifted weight
-    inner = _coupling_integral(
-        lambda ths: _w0_section6(ths, a, c, a3, a4, ctx),
-        [q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4],
-        np.array([z1, z2]), q ** (a / 2.0), ctx,
-    )
-    t_base = AWParams(-1.0 / c, -c * q, a3, a4)
-    return br1 * br2 * inner / aw_weight(phi2, t_base, ctx)
+    tsh = _shift6(a, c, a3, a4, q)
+    return _bilinear_kernel(phi1, phi2, [-1.0 / c, -c * q], tsh, [tsh.t2, tsh.t1],
+                            q ** (a / 2.0), AWParams(-1.0 / c, -c * q, a3, a4), ctx)
 
 
 def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
@@ -657,6 +672,20 @@ def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
                             AWParams(-1.0 / c, -c * ctx.q, a3, a4), ctx, tol)
 
 
+_SPOT_PAIRS = ((1.0, 1.8), (0.7, 2.2), (1.3, 1.3))
+
+
+def _spot_pairs(kernel, series, t_base: AWParams, ctx, tol) -> list[Residual]:
+    """kernel(phi1, phi2) / w(phi1; t_base) against the series value at the
+    spot pairs of a bilinear formula."""
+    parts = []
+    for (p1, p2) in _SPOT_PAIRS:
+        kv = kernel(p1, p2) / aw_weight(p1, t_base, ctx)
+        sv, _ = series(p1, p2)
+        parts.append(_resid([kv], [sv], tol, notes=f"pair({p1},{p2})"))
+    return parts
+
+
 def _run_I16(params, variant, ctx, tol):
     """Section-6 bilinear formula at spot pairs plus the triple-integral
     orthogonality: diagonal == A_n C_n^2, off-diagonal below 1e-7 x diagonal."""
@@ -664,13 +693,10 @@ def _run_I16(params, variant, ctx, tol):
     a3, a4 = params["a3"], params["a4"]
     q = ctx.q
     p = op.KParams(a, c)
-    pairs = [(1.0, 1.8), (0.7, 2.2), (1.3, 1.3)]
     t_base = AWParams(-1.0 / c, -c * q, a3, a4)
-    parts = []
-    for (p1, p2) in pairs:
-        kv = bilinear_kernel_6(p1, p2, p, a3, a4, ctx) / aw_weight(p1, t_base, ctx)
-        sv, _ = bilinear_series_6(p1, p2, p, a3, a4, ctx, tol=1e-11)
-        parts.append(_resid([kv], [sv], tol, notes=f"pair({p1},{p2})"))
+    parts = _spot_pairs(lambda p1, p2: bilinear_kernel_6(p1, p2, p, a3, a4, ctx),
+                        lambda p1, p2: bilinear_series_6(p1, p2, p, a3, a4, ctx, tol=1e-11),
+                        t_base, ctx, tol)
 
     # reduced triple integral: Itilde_n(theta) through the same Poisson kernel
     def itilde(n, thetas):
@@ -683,9 +709,13 @@ def _run_I16(params, variant, ctx, tol):
                                   ctx)
         return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
 
+    tsh = _shift6(a, c, a3, a4, q)
+
     def triple(m, n):
         def igr(ths):
-            return _w0_section6(ths, a, c, a3, a4, ctx) * itilde(n, ths) * itilde(m, ths)
+            i_n = itilde(n, ths)
+            i_m = i_n if m == n else itilde(m, ths)
+            return _w0(ths, tsh, [tsh.t2, tsh.t1], ctx) * i_n * i_m
 
         return complex(converged_value(integrate_theta(igr, ctx), f"triple integral ({m},{n})"))
 
@@ -709,17 +739,8 @@ def _run_I16(params, variant, ctx, tol):
 def _run_I17(params, variant, ctx, tol):
     """Multiplicative semigroup T(a,b,r) T(a,b,s) = T(a,b,rs)."""
     a, b, r, s = params["a"], params["b"], params["r"], params["s"]
-    grid = _grid(params)
-    parts = []
-    for f in _t_test_fns(a, b, ctx):
-        inner = op.apply_T(op.TParams(a, b, s), f, ctx)
-        lhs = op.apply_T(op.TParams(a, b, r), inner, ctx).on_theta(grid)
-        rhs = op.apply_T(op.TParams(a, b, r * s), f, ctx).on_theta(grid)
-        parts.append(_resid(lhs, rhs, tol, notes=f.label))
-    return _merge(parts, tol)
-
-
-_I18_LADDER = (0.9, 0.99, 0.999)
+    return _composition(_t_op(a, b, r, ctx), _t_op(a, b, s, ctx), _t_op(a, b, r * s, ctx),
+                        _test_fns(op.eigen_t_basis(a, b, 2, ctx)), params, tol)
 
 
 def _run_I18(params, variant, ctx, tol):
@@ -727,52 +748,59 @@ def _run_I18(params, variant, ctx, tol):
 
     Pass rule: monotone decrease and at least 3x per rung (the error is
     essentially linear in 1 - r, so each rung contracts by about 10)."""
-    a, b = params["a"], params["b"]
-    grid = _grid(params)
-    f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0, label="cos2t")
-    fref = np.asarray(f.on_theta(grid))
-    res = []
-    for r in _I18_LADDER:
-        tf = op.apply_T(op.TParams(a, b, r), f, ctx).on_theta(grid)
-        res.append(float(np.max(np.abs(tf - fref))))
-    ratios = [r1 / max(r2, _FLOOR) for r1, r2 in zip(res, res[1:])]
-    passed = all(r >= 3.0 for r in ratios)
-    notes = "residuals=" + ",".join(f"{r:.3e}" for r in res) \
-        + "; ratios=" + ",".join(f"{r:.2f}" for r in ratios)
-    return Residual(res[-1], res[-1], len(grid) * len(res), 1.0, passed, notes)
+
+    def verdict(res):
+        ratios = [r1 / max(r2, _FLOOR) for r1, r2 in zip(res, res[1:])]
+        return all(r >= 3.0 for r in ratios), "ratios=" + ",".join(f"{r:.2f}" for r in ratios)
+
+    return _limit_ladder(lambda r: _t_op(params["a"], params["b"], r, ctx), _I18_LADDER,
+                         params, verdict)
 
 
 def _run_I19(params, variant, ctx, tol):
     """Eigen-action: T(a,b,r) h(.;a,b) H_n = r^n h(.;a,b) H_n, n <= nmax."""
-    a, b, r = params["a"], params["b"], params["r"]
-    nmax = int(params.get("n", 6))
-    grid = _grid(params)
-    tp = op.TParams(a, b, r)
+    tp = op.TParams(params["a"], params["b"], params["r"])
     tp.validate(ctx)
+    nmax = int(params.get("n", 6))
+    return _eigen_actions(_t_op(tp.a, tp.b, tp.r, ctx),
+                          lambda n: op.eigen_t_basis(tp.a, tp.b, n, ctx),
+                          lambda n, f, grid: tp.r**n * np.asarray(f.on_theta(grid)),
+                          range(nmax + 1), params, tol, notes=f"n<={nmax}")
+
+
+def _bq_forms(a, b, r, n, ref, params, ctx, tol):
+    """Both general B_q(a,b) forms on T(a,b,r) f, f = h(.;a,b) H_n, against
+    ref(f, T(a,b,r) f)."""
+    if r * ctx.q ** (-0.5) >= 1.0:
+        raise ParamDomain("r q^{-1/2} must stay below 1")
+    grid = _grid(params)
+    f = op.eigen_t_basis(a, b, n, ctx)
+    tf = _t_op(a, b, r, ctx)(f)
+    want = ref(f, tf).on_theta(grid)
     parts = []
-    for n in range(nmax + 1):
-        f = op.eigen_t_basis(a, b, n, ctx)
-        lhs = op.apply_T(tp, f, ctx).on_theta(grid)
-        rhs = r**n * np.asarray(f.on_theta(grid))
-        parts.append(_resid(lhs, rhs, tol, notes=f"n={n}"))
-    return _merge(parts, tol, notes=f"n<={nmax}")
+    for form in ("direct", "factored"):
+        lhs = op.apply_Bq(a, b, tf, ctx, form=form).on_theta(grid)
+        parts.append(_resid(lhs, want, tol, notes=form))
+    return _merge(parts, tol)
 
 
 def _run_I20(params, variant, ctx, tol):
     """Shift property B_q(a,b) T(a,b,r) = T(a,b, r q^{-1/2}), both B_q forms."""
     a, b, r = params["a"], params["b"], params["r"]
-    if r * ctx.q ** (-0.5) >= 1.0:
-        raise ParamDomain("r q^{-1/2} must stay below 1")
-    n = int(params.get("n", 2))
-    grid = _grid(params)
-    f = op.eigen_t_basis(a, b, n, ctx)
-    tf = op.apply_T(op.TParams(a, b, r), f, ctx)
-    rhs = op.apply_T(op.TParams(a, b, r * ctx.q ** (-0.5)), f, ctx).on_theta(grid)
-    parts = []
-    for form in ("direct", "factored"):
-        lhs = op.apply_Bq(a, b, tf, ctx, form=form).on_theta(grid)
-        parts.append(_resid(lhs, rhs, tol, notes=form))
-    return _merge(parts, tol)
+    return _bq_forms(a, b, r, int(params.get("n", 2)),
+                     lambda f, tf: _t_op(a, b, r * ctx.q ** (-0.5), ctx)(f), params, ctx, tol)
+
+
+def _shift7(t: AWParams, r) -> AWParams:
+    """(t1 r, t2 r, t3/r, t4/r): the section-7 image quadruple of t."""
+    return AWParams(t.t1 * r, t.t2 * r, t.t3 / r, t.t4 / r)
+
+
+def _c7(t: AWParams, r, n, ctx: QContext) -> complex:
+    """c_n = (r^2 t1 t2 q^n; q)_oo / (t1 t2 q^n; q)_oo r^n."""
+    return complex(qpoch_infinite(r * r * t.t1 * t.t2 * ctx.q**n, ctx)) / complex(
+        qpoch_infinite(t.t1 * t.t2 * ctx.q**n, ctx)
+    ) * r**n
 
 
 def _run_I21(params, variant, ctx, tol):
@@ -780,33 +808,22 @@ def _run_I21(params, variant, ctx, tol):
     p_n(x; t1 r, t2 r, t3/r, t4/r)."""
     t1, t2, t3, t4, r = (params[k] for k in ("t1", "t2", "t3", "t4", "r"))
     n = int(params["n"])
-    q = ctx.q
     if abs(t3 / r) >= 1.0 or abs(t4 / r) >= 1.0:
         raise ParamDomain("t3/r, t4/r must stay inside the unit disc")
     grid = _grid(params)
     t = AWParams(t1, t2, t3, t4)
-    lhs = op.apply_T(op.TParams(t1, t2, r), _aw_fn(n, t, ctx), ctx).on_theta(grid)
+    lhs = _t_op(t1, t2, r, ctx)(_aw_fn(n, t, ctx)).on_theta(grid)
     z = np.exp(1j * grid)
-    cn = complex(qpoch_infinite(r * r * t1 * t2 * q**n, ctx)) / complex(
-        qpoch_infinite(t1 * t2 * q**n, ctx)
-    ) * r**n
     hr = np.asarray(h_product_z(z, [t1, t2], ctx)) / np.asarray(
         h_product_z(z, [t1 * r, t2 * r], ctx)
     )
-    tsh = AWParams(t1 * r, t2 * r, t3 / r, t4 / r)
-    rhs = cn * hr * aw_polynomial(n, grid, tsh, ctx)
+    rhs = _c7(t, r, n, ctx) * hr * aw_polynomial(n, grid, _shift7(t, r), ctx)
     return _resid(lhs, rhs, tol)
 
 
 def section7_constants(n: int, t: AWParams, r: float, ctx: QContext):
     """(a_n, b_n, c_n) of the section-7 bilinear formula."""
-    tsh = AWParams(t.t1 * r, t.t2 * r, t.t3 / r, t.t4 / r)
-    an = aw_norm_Mn(n, tsh, ctx)
-    bn = aw_norm_Mn(n, t, ctx)
-    cn = complex(qpoch_infinite(r * r * t.t1 * t.t2 * ctx.q**n, ctx)) / complex(
-        qpoch_infinite(t.t1 * t.t2 * ctx.q**n, ctx)
-    ) * r**n
-    return float(np.real(an)), float(np.real(bn)), float(np.real(cn))
+    return _bilinear_constants(n, _shift7(t, r), t, _c7(t, r, n, ctx), ctx)
 
 
 def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
@@ -822,18 +839,8 @@ def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
     for s, name in ((t3 / r, "t3/r"), (t4 / r, "t4/r"), (t1 * r, "t1 r"), (t2 * r, "t2 r")):
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in W_0")
-    tsh = AWParams(t1 * r, t2 * r, t3 / r, t4 / r)
-    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, [t1, t2], ctx))
-    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, [t1, t2], ctx))
-
-    def w0(ths):
-        return aw_weight(ths, tsh, ctx) * np.asarray(
-            h_product_z(np.exp(1j * ths), [t1 * r, t2 * r], ctx)
-        ) ** 2
-
-    inner = _coupling_integral(w0, [t3 / r, t4 / r], np.array([z1, z2]), r, ctx)
-    return br1 * br2 * inner / aw_weight(phi2, t, ctx)
+    tsh = _shift7(t, r)
+    return _bilinear_kernel(phi1, phi2, [t1, t2], tsh, [tsh.t1, tsh.t2], r, t, ctx)
 
 
 def bilinear_series_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
@@ -848,31 +855,17 @@ def _run_I22(params, variant, ctx, tol):
     t1, t2, t3, t4, r = (params[k] for k in ("t1", "t2", "t3", "t4", "r"))
     t = AWParams(t1, t2, t3, t4)
     p = op.TParams(t1, t2, r)
-    pairs = [(1.0, 1.8), (0.7, 2.2), (1.3, 1.3)]
-    parts = []
-    for (p1, p2) in pairs:
-        kv = bilinear_kernel_7(p1, p2, p, t, ctx) / aw_weight(p1, t, ctx)
-        sv, _ = bilinear_series_7(p1, p2, p, t, ctx, tol=1e-11)
-        parts.append(_resid([kv], [sv], tol, notes=f"pair({p1},{p2})"))
-    return _merge(parts, tol)
+    return _merge(_spot_pairs(lambda p1, p2: bilinear_kernel_7(p1, p2, p, t, ctx),
+                              lambda p1, p2: bilinear_series_7(p1, p2, p, t, ctx, tol=1e-11),
+                              t, ctx, tol), tol)
 
 
 def _run_I23(params, variant, ctx, tol):
     """b = q^{1/2} a: the simplified B_q form agrees with both general
     forms on a T-image of an eigenfunction."""
-    a, r = params["a"], params["r"]
-    b = math.sqrt(ctx.q) * a
-    if r * ctx.q ** (-0.5) >= 1.0:
-        raise ParamDomain("r q^{-1/2} must stay below 1")
-    grid = _grid(params)
-    f = op.eigen_t_basis(a, b, 2, ctx)
-    tf = op.apply_T(op.TParams(a, b, r), f, ctx)
-    special = op.bq_special_case(a, tf, ctx).on_theta(grid)
-    parts = []
-    for form in ("direct", "factored"):
-        general = op.apply_Bq(a, b, tf, ctx, form=form).on_theta(grid)
-        parts.append(_resid(special, general, tol, notes=form))
-    return _merge(parts, tol)
+    a = params["a"]
+    return _bq_forms(a, math.sqrt(ctx.q) * a, params["r"], 2,
+                     lambda f, tf: op.bq_special_case(a, tf, ctx), params, ctx, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,23 +1011,25 @@ def default_cases() -> list[IdentityCase]:
     return cases
 
 
-def _run_case(case: IdentityCase, base_ctx: QContext | None) -> IdentityReport:
+def run_case(case: IdentityCase, base_ctx: QContext | None = None) -> IdentityReport:
+    """Run one case and classify it: a parameter or case violation is a
+    skip with its reason, a numerical breakdown (any other QFracError) a
+    fail with the error in notes; evals counts the integrand nodes."""
     eval_counter.n = 0
     t0 = time.perf_counter()
+    residual, status, reason = None, "skip", ""
     try:
         residual = run_identity(case, base_ctx)
         status = "pass" if residual.passed else "fail"
-        return IdentityReport(case, residual, status, "",
-                              eval_counter.n, time.perf_counter() - t0)
     except (ParamDomain, CaseInvalid) as exc:
-        return IdentityReport(case, None, "skip", str(exc),
-                              eval_counter.n, time.perf_counter() - t0)
+        reason = str(exc)
     except QFracError as exc:
         # numerical breakdown inside a valid case is a failure, not a skip
         residual = Residual(math.inf, math.inf, 0, 0.0, False,
                             notes=f"{type(exc).__name__}: {exc}")
-        return IdentityReport(case, residual, "fail", "",
-                              eval_counter.n, time.perf_counter() - t0)
+        status = "fail"
+    return IdentityReport(case, residual, status, reason, eval_counter.n,
+                          time.perf_counter() - t0)
 
 
 def variant_groups_ok(reports: list[IdentityReport]):
@@ -1086,4 +1081,4 @@ def run_suite(grid_spec: str = "default", base_ctx: QContext | None = None
         cases = []
     else:
         raise CaseInvalid(f"unknown grid spec {grid_spec!r}")
-    return [_run_case(c, base_ctx) for c in cases]
+    return [run_case(c, base_ctx) for c in cases]

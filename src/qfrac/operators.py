@@ -21,6 +21,7 @@ Operators:
     apply_Dq          Askey-Wilson divided difference
     poisson_integral  the integral against the q-Hermite Poisson kernel that
                       dq_inverse, apply_K and apply_T share
+    k_norm, eq_ratio  the constant of K_{a,c} and the ratio of its E_q action
     dq_inverse        the classical right inverse (independent of apply_K)
     apply_K           two-parameter fractional integral K_{a,c}
     apply_K_eigen     closed-form action of K_{a,c} on its eigenbasis
@@ -55,6 +56,8 @@ __all__ = [
     "eigen_t_basis",
     "apply_Dq",
     "poisson_integral",
+    "k_norm",
+    "eq_ratio",
     "dq_inverse",
     "apply_K",
     "apply_K_eigen",
@@ -207,43 +210,40 @@ def _dq_quotient(f: AnalyticFn, z, q: float):
     return num / den
 
 
-def _richardson_at_unit(quot, zv):
-    """Evaluate a z^2 = 1 removable singularity by symmetric offsets
+def _divided_difference(quot, f: AnalyticFn, scale, label, ctx: QContext) -> AnalyticFn:
+    """z -> scale * quot(z) for a divided-difference quotient quot of f,
+    which consumes one q^{1/2} layer of f's annulus.  The removable
+    singularity at z^2 = 1 is evaluated by the symmetric offset
     z(1 +- delta), delta = 1e-6, Richardson-extrapolated once."""
-    out = np.empty_like(zv)
-    regular = np.abs(zv * zv - 1.0) > 1e-4
-    if np.any(regular):
-        out[regular] = quot(zv[regular])
-    for i in np.nonzero(~regular)[0]:
-        z0 = zv[i]
-        vals = {}
-        for d in (1e-6, 5e-7):
-            pts = np.array([z0 * (1 + d), z0 * (1 - d)])
-            vals[d] = 0.5 * np.sum(quot(pts))
-        out[i] = (4.0 * vals[5e-7] - vals[1e-6]) / 3.0
-    return out
+    rq = math.sqrt(ctx.q)
+    if f.annulus_rho > rq * (1.0 + 1e-12):
+        raise AnnulusExhausted(
+            f"{label} needs annulus_rho <= q^(1/2)={rq:.6g}, operand has {f.annulus_rho:.6g}"
+        )
+
+    def ev(z):
+        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        out = np.empty_like(zv)
+        regular = np.abs(zv * zv - 1.0) > 1e-4
+        if np.any(regular):
+            out[regular] = quot(zv[regular])
+        for i in np.nonzero(~regular)[0]:
+            z0 = zv[i]
+            vals = {}
+            for d in (1e-6, 5e-7):
+                pts = np.array([z0 * (1 + d), z0 * (1 - d)])
+                vals[d] = 0.5 * np.sum(quot(pts))
+            out[i] = (4.0 * vals[5e-7] - vals[1e-6]) / 3.0
+        return scale * out
+
+    return AnalyticFn(ev, min(f.annulus_rho / rq, 1.0), label=label)
 
 
 def apply_Dq(f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     """Askey-Wilson operator (D_q f)(x) =
-    [f(q^{1/2} z) - f(q^{-1/2} z)] / [(q^{1/2} - q^{-1/2})(z - 1/z)/2].
-
-    Consumes one q^{1/2} layer of the operand's annulus. The removable
-    singularity at z^2 = 1 is evaluated by the symmetric offset
-    z(1 +- delta), delta = 1e-6, Richardson-extrapolated once.
-    """
-    rq = math.sqrt(ctx.q)
-    if f.annulus_rho > rq * (1.0 + 1e-12):
-        raise AnnulusExhausted(
-            f"D_q needs annulus_rho <= q^(1/2)={rq:.6g}, operand has {f.annulus_rho:.6g}"
-        )
-    out_rho = min(f.annulus_rho / rq, 1.0)
-
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        return _richardson_at_unit(lambda w: _dq_quotient(f, w, ctx.q), zv)
-
-    return AnalyticFn(ev, out_rho, label=f"Dq[{f.label}]")
+    [f(q^{1/2} z) - f(q^{-1/2} z)] / [(q^{1/2} - q^{-1/2})(z - 1/z)/2]."""
+    return _divided_difference(lambda w: _dq_quotient(f, w, ctx.q), f, 1.0,
+                               f"Dq[{f.label}]", ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +275,42 @@ def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
     return integrate_theta(integrand, ctx, strip=min(kernel_strip, g_strip))
 
 
-def _over_h(f: AnalyticFn, params, ctx: QContext):
-    """phi -> f(e^{i phi}) / h(cos phi; params), the g of an integral operator,
-    and the strip in which g is analytic: f's annulus reaches
-    |Im phi| < -ln annulus_rho, and 1/h's poles bound it by h_pole_strip."""
+def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, label,
+                      ctx: QContext) -> AnalyticFn:
+    """The operator f -> pref_const h(x; pref_params) * poisson_integral of
+    g = f / h(.; params) at t, shared by D_q^{-1}, K_{a,c} and T(a,b,r).  g is
+    analytic as far as f's annulus and 1/h's poles allow.  The output carries
+    annulus rho and memoizes its pointwise quadratures."""
 
     def g(phis):
         zeta = np.exp(1j * phis)
         return f(zeta) / h_product_z(zeta, params, ctx)
 
-    return g, min(h_pole_strip([f.annulus_rho]), h_pole_strip(params))
+    g_strip = min(h_pole_strip([f.annulus_rho]), h_pole_strip(params))
+
+    def ev(zv):
+        pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
+        res = poisson_integral(t, g, g_strip, zv, pref, ctx)
+        return np.atleast_1d(converged_value(res, label))
+
+    return AnalyticFn(ev, rho, label=label, memoize=True)
+
+
+def k_norm(a, c, q, n=0, factor=1.0):
+    """q^{a(a-3)/4 + n a/2} factor ((1-q)/(2c))^a: at n = 0 the constant C of
+    K_{a,c}, else its eigenvalue C q^{na/2} on h(.; -1/c, -cq) H_n.  factor
+    enters where the 5phi4 and 4phi3 closed forms carry theirs."""
+    return q ** (a * (a - 3.0) / 4.0 + n * a / 2.0) * factor * ((1.0 - q) / (2.0 * c)) ** a
+
+
+def eq_ratio(a, tval, base, ctx: QContext) -> complex:
+    """R = (q^{a+1} t^2; B)_oo / (q t^2; B)_oo with Pochhammer base B = q^2
+    (base="q2") or B = q (base="q"): the factor of the E_q action of K_{a,c}."""
+    q = ctx.q
+    bctx = ctx.with_q(q * q) if base == "q2" else ctx
+    return complex(qpoch_infinite(q ** (a + 1.0) * tval * tval, bctx)) / complex(
+        qpoch_infinite(q * tval * tval, bctx)
+    )
 
 
 def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
@@ -297,23 +323,14 @@ def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
                     h(cos phi; -1/c, -c q) ],
 
     the Poisson-kernel integral at t = q^{a/2}.  The operand is sampled on
-    the contour only; the output carries annulus q^{a/2} and memoizes its
-    pointwise quadratures.
+    the contour only; the output carries annulus q^{a/2}.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
     qa2 = q ** (a / 2.0)
-    pref_const = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    pref_params = [-c * q ** (1.0 - a / 2.0), -qa2 / c]
-    g, g_strip = _over_h(f, [-1.0 / c, -c * q], ctx)
-    label = f"K[{a},{c}]({f.label})"
-
-    def ev(zv):
-        pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        res = poisson_integral(qa2, g, g_strip, zv, pref, ctx)
-        return np.atleast_1d(converged_value(res, label))
-
-    return AnalyticFn(ev, qa2, label=label, memoize=True)
+    return _poisson_operator(qa2, f, [-1.0 / c, -c * q], k_norm(a, c, q),
+                             [-c * q ** (1.0 - a / 2.0), -qa2 / c], qa2,
+                             f"K[{a},{c}]({f.label})", ctx)
 
 
 def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
@@ -328,17 +345,8 @@ def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     KParams(1.0, c).validate(ctx)
     q = ctx.q
     rq = math.sqrt(q)
-    g, g_strip = _over_h(f, [-1.0 / c, -c * q], ctx)
-    label = f"Dq^-1[{c}]({f.label})"
-
-    def ev(zv):
-        pref = (1.0 / rq) * (1.0 - q) / (2.0 * c) * np.asarray(
-            h_product_z(zv, [-c * rq, -rq / c], ctx)
-        )
-        res = poisson_integral(rq, g, g_strip, zv, pref, ctx)
-        return np.atleast_1d(converged_value(res, label))
-
-    return AnalyticFn(ev, rq, label=label, memoize=True)
+    return _poisson_operator(rq, f, [-1.0 / c, -c * q], (1.0 / rq) * (1.0 - q) / (2.0 * c),
+                             [-c * rq, -rq / c], rq, f"Dq^-1[{c}]({f.label})", ctx)
 
 
 def apply_K_eigen(p: KParams, n: int, theta, ctx: QContext):
@@ -354,7 +362,7 @@ def apply_K_eigen(p: KParams, n: int, theta, ctx: QContext):
     a, c, q = p.a, p.c, ctx.q
     tv = np.asarray(theta, dtype=np.float64)
     z = np.exp(1j * tv)
-    pref = q ** (a * (a - 3.0) / 4.0 + n * a / 2.0) * ((1.0 - q) / (2.0 * c)) ** a
+    pref = k_norm(a, c, q, n)
     hpart = np.asarray(h_product_z(z, [-c * q ** (1.0 - a / 2.0), -q ** (a / 2.0) / c], ctx))
     hn = hermite_cq_all(n, np.cos(tv), ctx)[n]
     out = pref * hpart * hn
@@ -382,7 +390,7 @@ def apply_J_series(p: KParams, n: int, theta, ctx: QContext):
     tv = np.asarray(theta, dtype=np.float64)
     z = np.exp(1j * tv)
     qa2 = q ** (a / 2.0)
-    pref = q ** (a * (a - 3.0) / 4.0 + n * a / 2.0) * ((1.0 - q) / (2.0 * c)) ** a
+    pref = k_norm(a, c, q, n)
     logterm = math.log((1.0 - q) * q ** (a / 2.0 + n / 2.0 - 0.75) / (2.0 * c))
     t1 = np.asarray(h_product_z(z, [-c * q ** (1.0 - a / 2.0), -qa2 / c], ctx)) * logterm
     s_plus = np.asarray(jtp_theta_logq_derivative_series(z * qa2 / c, ctx))
@@ -478,16 +486,8 @@ def apply_T(p: TParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     degenerates to the rank-one projection onto h(.; a, b), since P_0 = 1)."""
     p.validate(ctx)
     a, b, r = p.a, p.b, p.r
-    g, g_strip = _over_h(f, [a, b], ctx)
-    label = f"T[{a},{b},{r}]({f.label})"
-
-    def ev(zv):
-        pref = np.asarray(h_product_z(zv, [a, b], ctx))
-        res = poisson_integral(r, g, g_strip, zv, pref, ctx)
-        return np.atleast_1d(converged_value(res, label))
-
-    rho = max(abs(r), 1e-9)
-    return AnalyticFn(ev, rho, label=label, memoize=True)
+    return _poisson_operator(r, f, [a, b], 1.0, [a, b], max(abs(r), 1e-9),
+                             f"T[{a},{b},{r}]({f.label})", ctx)
 
 
 def _g_weight(z, a, b, ctx: QContext):
@@ -538,10 +538,11 @@ def apply_Bq(a, b, f: AnalyticFn, ctx: QContext, form: str = "direct",
     quotient is kept reachable because the two forms are cross-checked
     against each other.
     """
-    rq = math.sqrt(ctx.q)
-    if f.annulus_rho > rq * (1.0 + 1e-12):
-        raise AnnulusExhausted("B_q needs operand annulus_rho <= q^(1/2)")
     scale = bq_norm_constant(ctx) if normalized else 1.0
+    label = f"Bq[{a},{b}]({f.label})"
+    if form == "direct":
+        return _divided_difference(lambda w: _bq_direct_quotient(f, w, a, b, ctx), f, scale,
+                                   label, ctx)
     if form == "factored":
         g_rho = max(abs(a), abs(b), 1e-9)
         gf = AnalyticFn(
@@ -557,17 +558,8 @@ def apply_Bq(a, b, f: AnalyticFn, ctx: QContext, form: str = "direct",
                 raise DivisionNearZero("g(x; a, b) vanishes at requested point")
             return scale * np.asarray(dgf(z)) / g
 
-        return AnalyticFn(ev_f, dgf.annulus_rho, label=f"Bq[{a},{b}]({f.label})")
-    if form != "direct":
-        raise ValueError("form must be 'direct' or 'factored'")
-
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        return scale * _richardson_at_unit(
-            lambda w: _bq_direct_quotient(f, w, a, b, ctx), zv
-        )
-
-    return AnalyticFn(ev, min(f.annulus_rho / rq, 1.0), label=f"Bq[{a},{b}]({f.label})")
+        return AnalyticFn(ev_f, dgf.annulus_rho, label=label)
+    raise ValueError("form must be 'direct' or 'factored'")
 
 
 def bq_special_case(a, f: AnalyticFn, ctx: QContext, normalized: bool = True) -> AnalyticFn:
@@ -583,9 +575,6 @@ def bq_special_case(a, f: AnalyticFn, ctx: QContext, normalized: bool = True) ->
     """
     q = ctx.q
     rq = math.sqrt(q)
-    if f.annulus_rho > rq * (1.0 + 1e-12):
-        raise AnnulusExhausted("B_q needs operand annulus_rho <= q^(1/2)")
-    scale = bq_norm_constant(ctx) if normalized else 1.0
 
     def quot(z):
         t_plus = (1.0 - a * z) / (1.0 - a / (rq * z)) * f(rq * z)
@@ -593,11 +582,8 @@ def bq_special_case(a, f: AnalyticFn, ctx: QContext, normalized: bool = True) ->
         den = (q**0.75 - q ** (-0.25)) * (z * z - 1.0) / 2.0
         return (t_plus - t_minus) / den
 
-    def ev(z):
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        return scale * _richardson_at_unit(quot, zv)
-
-    return AnalyticFn(ev, min(f.annulus_rho / rq, 1.0), label=f"Bq[{a},q^.5 a]({f.label})")
+    return _divided_difference(quot, f, bq_norm_constant(ctx) if normalized else 1.0,
+                               f"Bq[{a},q^.5 a]({f.label})", ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -610,40 +596,28 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
 
     side="left":  integral of E_q(x; t) (K_{a,c} f)(x) w_H dx
                     / h(x; -c q^{1-a/2}, -q^{a/2}/c)
-    side="right": q^{a(a-3)/4} ((1-q)/(2c))^a * R *
-                  integral of E_q(x; t q^{a/2}) f(x) w_H dx / h(x; -cq, -1/c)
+    side="right": C R * integral of E_q(x; t q^{a/2}) f(x) w_H dx / h(x; -cq, -1/c)
 
-    where R = (q^{a+1} t^2; B)_oo / (q t^2; B)_oo with Pochhammer base
-    B = q^2 (base="q2") or B = q (base="q"); the suite decides which base
-    makes left == right.
+    with C = k_norm(a, c, q) and R = eq_ratio(a, t, base); the suite decides
+    which Pochhammer base makes left == right.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
-    if side == "left":
-        kf = apply_K(p, f, ctx)
-        hpars = [-c * q ** (1.0 - a / 2.0), -q ** (a / 2.0) / c]
+
+    def pairing(g, t, hpars):
+        """integral of E_q(x; t) g(x) w_H dx / h(x; hpars)."""
 
         def igr(phis):
-            e = np.asarray(q_exponential(phis, tval, ctx))
-            kv = np.asarray(kf.on_theta(phis))
+            e = np.asarray(q_exponential(phis, t, ctx))
+            gv = np.asarray(g.on_theta(phis))
             h = np.asarray(h_product_z(np.exp(1j * phis), hpars, ctx))
-            return e * kv * weight_wH_sin(phis, ctx) / h
+            return e * gv * weight_wH_sin(phis, ctx) / h
 
-        return complex(converged_value(integrate_theta(igr, ctx), "adjoint pairing, left"))
+        return complex(converged_value(integrate_theta(igr, ctx), f"adjoint pairing, {side}"))
+
+    if side == "left":
+        return pairing(apply_K(p, f, ctx), tval, [-c * q ** (1.0 - a / 2.0), -q ** (a / 2.0) / c])
     if side != "right":
         raise ValueError("side must be 'left' or 'right'")
-    pref = q ** (a * (a - 3.0) / 4.0) * ((1.0 - q) / (2.0 * c)) ** a
-    bctx = ctx.with_q(q * q) if base == "q2" else ctx
-    ratio = complex(qpoch_infinite(q ** (a + 1.0) * tval * tval, bctx)) / complex(
-        qpoch_infinite(q * tval * tval, bctx)
-    )
-    ts = tval * q ** (a / 2.0)
-
-    def igr(phis):
-        e = np.asarray(q_exponential(phis, ts, ctx))
-        fv = np.asarray(f.on_theta(phis))
-        h = np.asarray(h_product_z(np.exp(1j * phis), [-c * q, -1.0 / c], ctx))
-        return e * fv * weight_wH_sin(phis, ctx) / h
-
-    return pref * ratio * complex(
-        converged_value(integrate_theta(igr, ctx), "adjoint pairing, right"))
+    return k_norm(a, c, q) * eq_ratio(a, tval, base, ctx) * pairing(
+        f, tval * q ** (a / 2.0), [-c * q, -1.0 / c])

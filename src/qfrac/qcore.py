@@ -150,34 +150,39 @@ def h_product(theta, params, ctx: QContext):
     return _maybe_scalar(np.asarray(out), theta)
 
 
-def jtp_theta_series(z, ctx: QContext):
-    """Bilateral theta sum  sum_{n=-oo}^{oo} q^{binom(n,2)} z^n.
-
-    By the Jacobi triple product this equals (q, -z, -q/z; q)_oo.  Terms are
-    paired as (n, 1-n), which share the exponent binom(n,2); the window grows
-    until the next pair is below eps_trunc relative to the running maximum of
-    the partial sums (tracking the maximum, not the sum, guards against
-    cancellation near zeros of theta).
-    """
-    zv = _asarr(z)
-    if np.any(zv == 0):
-        raise ValueError("jtp series needs z != 0")
-    out = 1.0 + zv
+def _paired_theta_sum(zv, out, pair, what: str, ctx: QContext):
+    """out + sum over m >= 1 of pair(m, q^{binom(m+1,2)}, z^{m+1}, z^{-m}), the
+    terms m+1 and -m of a bilateral theta sum, until two consecutive pairs
+    fall below eps_trunc relative to the running maximum of the partial sums
+    (the maximum, not the sum, guards against cancellation near zeros)."""
     run_max = np.maximum(np.abs(out), 1.0)
     zp = zv.copy()        # z^m
     zm = np.ones_like(zv)  # z^-m
-    small = 0  # consecutive small pairs (one can cancel by phase alone)
+    small = 0
     for m in range(1, ctx.max_terms + 1):
         zp = zp * zv
         zm = zm / zv
-        w = ctx.q ** (m * (m + 1) / 2.0)
-        term = w * (zp + zm)
+        term = pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
         out = out + term
         run_max = np.maximum(run_max, np.abs(out))
         small = small + 1 if float(np.max(np.abs(term))) < ctx.eps_trunc * float(np.max(run_max)) else 0
         if small >= 2:
-            return _maybe_scalar(out, z)
-    raise NonConvergent("bilateral theta series window exceeded max_terms")
+            return out
+    raise NonConvergent(f"{what} window exceeded max_terms")
+
+
+def jtp_theta_series(z, ctx: QContext):
+    """Bilateral theta sum  sum_{n=-oo}^{oo} q^{binom(n,2)} z^n.
+
+    By the Jacobi triple product this equals (q, -z, -q/z; q)_oo.  Terms are
+    paired as (n, 1-n), which share the exponent binom(n,2).
+    """
+    zv = _asarr(z)
+    if np.any(zv == 0):
+        raise ValueError("jtp series needs z != 0")
+    out = _paired_theta_sum(zv, 1.0 + zv, lambda m, w, zp, zm: w * (zp + zm),
+                            "bilateral theta series", ctx)
+    return _maybe_scalar(out, z)
 
 
 def jtp_theta_logq_derivative_series(z, ctx: QContext):
@@ -191,22 +196,11 @@ def jtp_theta_logq_derivative_series(z, ctx: QContext):
     if np.any(zv == 0):
         raise ValueError("jtp derivative series needs z != 0")
     half_logq = 0.5 * math.log(ctx.q)
-    out = zv * half_logq  # k = 1 term; k = 0 contributes nothing
-    run_max = np.maximum(np.abs(out), 1.0)
-    zp = zv.copy()
-    zm = np.ones_like(zv)
-    small = 0
-    for m in range(1, ctx.max_terms + 1):
-        zp = zp * zv
-        zm = zm / zv
-        w = ctx.q ** (m * (m + 1) / 2.0)
-        term = w * half_logq * ((m + 1) * zp - m * zm)
-        out = out + term
-        run_max = np.maximum(run_max, np.abs(out))
-        small = small + 1 if float(np.max(np.abs(term))) < ctx.eps_trunc * float(np.max(run_max)) else 0
-        if small >= 2:
-            return _maybe_scalar(out / euler_product(ctx), z)
-    raise NonConvergent("theta derivative series window exceeded max_terms")
+    # k = 1 starts the sum; k = 0 contributes nothing
+    out = _paired_theta_sum(zv, zv * half_logq,
+                            lambda m, w, zp, zm: w * half_logq * ((m + 1) * zp - m * zm),
+                            "theta derivative series", ctx)
+    return _maybe_scalar(out / euler_product(ctx), z)
 
 
 def bhs_terminating(upper, lower, arg, n_max: int, ctx: QContext):

@@ -35,8 +35,7 @@ import numpy as np
 from .context import QContext
 from .errors import NonConvergent
 
-__all__ = ["QuadResult", "integrate_theta", "integrate_theta_2d", "converged_value",
-           "eval_counter"]
+__all__ = ["QuadResult", "integrate_theta", "converged_value", "eval_counter"]
 
 # QUADPACK dqk15 abscissae/weights (Kronrod 15 with embedded Gauss 7).
 _XGK = np.array([
@@ -127,7 +126,7 @@ def _panel(f, lo, hi):
 _MAX_PANELS = 20000
 
 
-def _quad_vec(f, lo, hi, ctx: QContext, n_initial=4):
+def _quad_vec(f, ctx: QContext, n_initial=4):
     """Global adaptive refinement: always bisect the panel with the largest
     |K15 - G7| relative to its component's scale, until every component's
     accumulated estimate meets its own tolerance.  Components are budgeted
@@ -136,8 +135,7 @@ def _quad_vec(f, lo, hi, ctx: QContext, n_initial=4):
     errors, and the final accumulation runs over panels sorted by position,
     so results are bit-stable and independent of how callers batch their
     components."""
-    width = hi - lo
-    edges = lo + width * np.arange(n_initial + 1) / n_initial
+    edges = np.pi * np.arange(n_initial + 1) / n_initial
     alive = {}  # lo -> (hi, value, err_vec, depth)
     coarse = None
     mass = None  # per-component L1 magnitude; budgets are honest against it
@@ -254,66 +252,26 @@ def _trapezoid(f, ctx: QContext) -> QuadResult:
             return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
 
 
-def integrate_theta(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi,
-                    strip: float | None = None) -> QuadResult:
-    """Integral of f over [lo, hi] (default [0, pi]).
+def integrate_theta(f, ctx: QContext, strip: float | None = None) -> QuadResult:
+    """Integral of f over [0, pi].
 
     f receives a numpy array of nodes and must return an array of matching
     leading dimension; a trailing dimension of size B makes the quadrature
     vector valued.
 
     strip, when given, states that f is even, 2pi-periodic and analytic for
-    |Im phi| < strip (math.inf for an entire f), and needs the default
-    interval.  The trapezoid rule's error then falls like e^{-2 strip M}: it
-    meets quad_rel_tol near M_pred = ln(1 / quad_rel_tol) / (2 strip), and
-    the doubling that shows it, comparing I_M with I_{M/2}, comes near 2 to 4
-    M_pred.  The rule runs when 4 M_pred is at most half the cap _TRAP_MAX_M,
-    so only a strip stated wider than the true one reaches the cap;
-    otherwise, and without strip, the adaptive rule runs.  Neither rule
-    raises on failure: a depth or size cap is reported as converged=False on
-    the best available value (see converged_value).
+    |Im phi| < strip (math.inf for an entire f).  The trapezoid rule's error
+    then falls like e^{-2 strip M}: it meets quad_rel_tol near
+    M_pred = ln(1 / quad_rel_tol) / (2 strip), and the doubling that shows
+    it, comparing I_M with I_{M/2}, comes near 2 to 4 M_pred.  The rule runs
+    when 4 M_pred is at most half the cap _TRAP_MAX_M, so only a strip stated
+    wider than the true one reaches the cap; otherwise, and without strip,
+    the adaptive rule runs.  Neither rule raises on failure: a depth or size
+    cap is reported as converged=False on the best available value (see
+    converged_value).
     """
     if strip is not None:
-        if (lo, hi) != (0.0, np.pi):
-            raise ValueError("strip needs the default interval [0, pi]")
         m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * strip) if strip > 0 else math.inf
         if 4.0 * m_pred <= _TRAP_MAX_M / 2:
             return _trapezoid(f, ctx)
-    return _quad_vec(f, lo, hi, ctx)
-
-
-def integrate_theta_2d(f, ctx: QContext, lo: float = 0.0, hi: float = np.pi) -> QuadResult:
-    """Tensor-product integral of f(phi, psi) over [lo, hi]^2.
-
-    The outer adaptive pass integrates g(phi) = integral over psi, with f
-    called as f(phi_scalar, psi_array).  The error estimate combines the
-    outer estimate with the worst inner estimate scaled by the interval; it
-    converged when the outer and every inner integral did and the combined
-    estimate is at most 10 quad_rel_tol |value|.  err_ratio is the worst of
-    the outer, the inner and the combined ratios, each against its own
-    allowance.
-    """
-    inner_err = 0.0
-    inner_ratio = 0.0
-    inner_evals = 0
-    inner_ok = True
-
-    def outer_integrand(phis):
-        nonlocal inner_err, inner_ratio, inner_evals, inner_ok
-        out = np.empty(phis.shape, dtype=np.complex128)
-        for i, p in enumerate(phis):
-            r = _quad_vec(lambda psis: f(float(p), psis), lo, hi, ctx)
-            out[i] = r.value
-            inner_err = max(inner_err, r.err_est)
-            inner_ratio = max(inner_ratio, r.err_ratio)
-            inner_evals += r.evals
-            inner_ok = inner_ok and r.converged
-        return out
-
-    outer = _quad_vec(outer_integrand, lo, hi, ctx)
-    err = outer.err_est + inner_err * (hi - lo)
-    vscale = max(float(np.max(np.abs(np.atleast_1d(outer.value)))), _FLOOR_SCALE)
-    combined = err / (10.0 * ctx.quad_rel_tol * vscale)
-    return QuadResult(outer.value, err, outer.evals + inner_evals,
-                      outer.converged and inner_ok and combined <= 1.0,
-                      max(outer.err_ratio, inner_ratio, combined))
+    return _quad_vec(f, ctx)

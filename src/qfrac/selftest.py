@@ -1,19 +1,22 @@
 """Invariant battery for the scalar kernels and the quadrature engine.
 
-Runs the module-level invariants (Pochhammer splitting, triple product,
-orthogonality, generating function, Askey-Wilson integral, weight symmetry,
-quadrature exactness and determinism) in under a minute and reports one line
-per check.  This is what `qfrac selftest` executes.
+Runs the module-level invariants (Pochhammer identities, h-product and
+Poisson kernel positivity, generating function, Askey-Wilson orthogonality,
+quadrature exactness, determinism and refinement) and the registry's
+foundation cases I0a-I0d at q in {0.3, 0.5, 0.7}, in under a minute, and
+reports one line per check.  This is what `qfrac selftest` executes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .context import QContext
+from .identities import REGISTRY, IdentityCase, run_case
 from .qcore import (
     h_product,
-    jtp_theta_series,
     qpoch_finite,
     qpoch_infinite,
     qpoch_real_index,
@@ -26,9 +29,8 @@ from .qfunctions import (
     hermite_cq_all,
     poisson_kernel,
     theta_grid,
-    weight_wH_sin,
 )
-from .quadrature import integrate_theta, integrate_theta_2d
+from .quadrature import integrate_theta
 
 _CHECKS = []
 
@@ -39,6 +41,21 @@ def _check(name):
         return fn
 
     return deco
+
+
+def _registry_check(name, case_id, *extras):
+    """A check that runs the registry case case_id at q in {0.3, 0.5, 0.7},
+    once per parameter map in extras, against the registry's tolerance."""
+
+    def check():
+        worst = 0.0
+        for q in (0.3, 0.5, 0.7):
+            for extra in extras or ({},):
+                rep = run_case(IdentityCase(case_id, {"q": q, **extra}))
+                worst = max(worst, rep.residual.max_rel if rep.residual else math.inf)
+        return worst, REGISTRY[case_id].tol
+
+    _CHECKS.append((name, check))
 
 
 def _rel(a, b):
@@ -90,19 +107,7 @@ def _c_realindex():
     return worst, 1e-12
 
 
-@_check("Jacobi triple product on |z| in [0.5, 2]")
-def _c_jtp():
-    worst = 0.0
-    for q in (0.3, 0.5, 0.7):
-        ctx = QContext(q=q)
-        for mod in (0.5, 1.0, 2.0):
-            for ph in (0.0, 0.9, 2.4):
-                z = mod * np.exp(1j * ph)
-                lhs = jtp_theta_series(z, ctx)
-                rhs = (qpoch_infinite(q, ctx) * qpoch_infinite(-z, ctx)
-                       * qpoch_infinite(-q / z, ctx))
-                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return worst, 1e-11
+_registry_check("Jacobi triple product (I0d)", "I0d")
 
 
 @_check("h-product positivity for real |a_j| < 1")
@@ -118,24 +123,7 @@ def _c_hpos():
     return (0.0 if worst > 0 else 1.0), 0.5
 
 
-@_check("q-Hermite orthogonality, m,n <= 8, q in {0.3,0.5,0.7}")
-def _c_orth():
-    worst = 0.0
-    for q in (0.3, 0.5, 0.7):
-        ctx = QContext(q=q)
-        pairs = [(m, n) for m in range(9) for n in range(m, 9)]
-
-        def igr(phis):
-            H = hermite_cq_all(8, np.cos(phis), ctx)
-            w = weight_wH_sin(phis, ctx)
-            return np.stack([w * H[m] * H[n] for (m, n) in pairs], axis=1)
-
-        gram = np.atleast_1d(integrate_theta(igr, ctx).value)
-        want = np.array([
-            complex(qpoch_finite(q, n, ctx)) if m == n else 0.0 for (m, n) in pairs
-        ])
-        worst = max(worst, float(np.max(np.abs(gram - want))))
-    return worst, 1e-9
+_registry_check("q-Hermite orthogonality, m,n <= 8 (I0a)", "I0a")
 
 
 @_check("generating function sum H_n t^n/(q;q)_n == 1/(t e^{it},t e^{-it};q)_oo")
@@ -156,26 +144,7 @@ def _c_genfun():
     return worst, 1e-10
 
 
-@_check("Askey-Wilson integral, |a_j| <= 0.6")
-def _c_awint():
-    worst = 0.0
-    quads = [(0.6, -0.4, 0.3, -0.05), (0.5, 0.2, 0.1, 0.05), (0.0, 0.0, 0.0, 0.0)]
-    for q in (0.3, 0.5, 0.7):
-        ctx = QContext(q=q)
-        for quad in quads:
-            def igr(phis, quad=quad):
-                from .qcore import h_product_z
-
-                return weight_wH_sin(phis, ctx) / np.asarray(
-                    h_product_z(np.exp(1j * phis), [a for a in quad if a != 0.0], ctx))
-
-            got = complex(integrate_theta(igr, ctx).value)
-            want = complex(qpoch_infinite(np.prod(quad), ctx))
-            for j in range(4):
-                for k in range(j + 1, 4):
-                    want /= complex(qpoch_infinite(quad[j] * quad[k], ctx))
-            worst = max(worst, abs(got - want) / abs(want))
-    return worst, 1e-9
+_registry_check("Askey-Wilson integral, |a_j| <= 0.6 (I0c)", "I0c")
 
 
 @_check("AW orthogonality m,n <= 4 vs closed-form M_n")
@@ -197,18 +166,19 @@ def _c_aworth():
     return worst, 1e-8
 
 
-@_check("Poisson kernel dual form and positivity")
-def _c_poisson():
+_registry_check("Poisson kernel series == product form, t = 0.4, -0.35 (I0b)", "I0b",
+                {"t": 0.4}, {"t": -0.35})
+
+
+@_check("Poisson kernel positivity for t > 0")
+def _c_poisson_positive():
     worst = 0.0
     for q in (0.3, 0.5, 0.7):
         ctx = QContext(q=q)
-        for (th, ph, t) in ((np.pi / 3, np.pi / 4, 0.4), (1.1, 2.0, -0.35)):
-            s = poisson_kernel(th, ph, t, ctx, form="series")
-            p = poisson_kernel(th, ph, t, ctx, form="product")
-            worst = max(worst, abs(s - p) / abs(p))
-            if t > 0 and np.real(p) <= 0:
-                worst = max(worst, 1.0)
-    return worst, 1e-10
+        for (th, ph) in ((np.pi / 3, np.pi / 4), (1.1, 2.0)):
+            if np.real(poisson_kernel(th, ph, 0.4, ctx, form="product")) <= 0:
+                worst = 1.0
+    return worst, 0.5
 
 
 @_check("quadrature exactness: degree <= 13 polynomials per panel")
@@ -256,14 +226,6 @@ def _c_monotone():
     diffs = [abs(v - ref) for v in vals[:-1]]
     ok = all(d1 >= d2 or d1 < 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
     return (0.0 if ok else 1.0), 0.5
-
-
-@_check("2d tensor quadrature: separable and constant integrands")
-def _c_2d():
-    ctx = QContext(q=0.5)
-    r1 = integrate_theta_2d(lambda p, psis: np.sin(p) * np.sin(psis), ctx)
-    r2 = integrate_theta_2d(lambda p, psis: np.ones_like(psis), ctx)
-    return max(abs(complex(r1.value) - 4.0), abs(complex(r2.value) - np.pi**2)), 1e-10
 
 
 def run_selftest(verbose: bool = False) -> bool:

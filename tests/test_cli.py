@@ -58,6 +58,17 @@ class TestVerify:
         assert "passed=False" in out
 
 
+    def test_numerical_breakdown_is_a_failure(self, tmp_path):
+        # z = 1e-300 exhausts the theta series window: NonConvergent, no traceback
+        out = tmp_path / "v.json"
+        code, stdout, _ = run_cli(["verify", "--id", "I0d", "--q", "0.5", "--z", "1e-300",
+                                   "--out", str(out)])
+        assert code == 1
+        assert "passed=False" in stdout and "NonConvergent" in stdout
+        row, = json.loads(out.read_text())
+        assert row["passed"] is False and "NonConvergent" in row["notes"]
+
+
 class TestSuite:
     def test_empty_grid_json(self, tmp_path):
         out = tmp_path / "r.json"
@@ -128,6 +139,15 @@ class TestSweep:
         assert code == 0  # skipped cases do not fail the sweep
         text = out.read_text()
         assert "skip" in text
+
+    def test_sweep_records_breakdown_as_fail(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(["sweep", "--id", "I0d", "--q", "0.5",
+                              "--vary", "z=1.3,1e-300", "--out", str(out)])
+        assert code == 1
+        lines = out.read_text().strip().splitlines()
+        assert lines[1].endswith(",pass")
+        assert lines[2].startswith("1e-300,inf,inf,fail: NonConvergent")
 
     def test_bad_vary_spec(self):
         code, _, err = run_cli(["sweep", "--id", "I5", "--q", "0.5",

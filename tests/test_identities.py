@@ -159,14 +159,14 @@ class TestSuite:
             run_suite("nope")
 
     def test_skip_records_carry_reason(self):
-        rep = idn._run_case(
+        rep = idn.run_case(
             IdentityCase("I5", {"q": 0.5, "a": 1.0, "c": 2.5, "n": 2}), None)
         assert rep.status == "skip"
         assert "c outside" in rep.skip_reason
 
     def test_variant_group_verdict(self):
         reports = [
-            idn._run_case(IdentityCase("I11", {"q": 0.5, "a": 0.8, "c": 1.2,
+            idn.run_case(IdentityCase("I11", {"q": 0.5, "a": 0.8, "c": 1.2,
                                                "tval": 0.25}, variant=v), None)
             for v in ("q2", "q")
         ]

@@ -104,7 +104,7 @@ class TestPoissonIntegral:
                          "r": 0.5, "n": 0}),
                 ("I9", {"q": 0.7, "a": 0.5, "c": 1.425, "beta": 0.0})):
             params["grid_points"] = 5
-            rep = idn._run_case(idn.IdentityCase(cid, params), QContext(q=params["q"]))
+            rep = idn.run_case(idn.IdentityCase(cid, params), QContext(q=params["q"]))
             assert rep.status == "pass", rep.residual.notes
 
     def test_unconverged_integral_fails_the_case(self):
@@ -112,7 +112,7 @@ class TestPoissonIntegral:
         f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
         with pytest.raises(NonConvergent, match="did not converge"):
             op.apply_K(op.KParams(0.01, 1.2), f, ctx).on_theta(GRID)
-        rep = idn._run_case(idn.IdentityCase("I2", {"q": 0.5, "c": 1.2, "grid_points": 5}),
+        rep = idn.run_case(idn.IdentityCase("I2", {"q": 0.5, "c": 1.2, "grid_points": 5}),
                             ctx)
         assert rep.status == "fail"
         assert "NonConvergent" in rep.residual.notes

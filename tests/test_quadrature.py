@@ -9,7 +9,7 @@ from qfrac.context import QContext
 from qfrac.errors import NonConvergent
 from qfrac.qcore import h_product_z, qpoch_infinite
 from qfrac.qfunctions import poisson_kernel_z, theta_grid, weight_wH_sin
-from qfrac.quadrature import converged_value, integrate_theta, integrate_theta_2d
+from qfrac.quadrature import converged_value, integrate_theta
 
 
 class TestIntegrateTheta:
@@ -145,55 +145,3 @@ class TestTrapezoid:
         assert not r.converged and r.err_ratio > 1.0
         with pytest.raises(NonConvergent, match="did not converge"):
             converged_value(r, "1/(a - cos)")
-
-    def test_strip_needs_default_interval(self, ctx05):
-        with pytest.raises(ValueError):
-            integrate_theta(np.cos, ctx05, lo=0.0, hi=1.0, strip=1.0)
-
-
-class TestIntegrateTheta2d:
-    def test_separable(self, ctx05):
-        r = integrate_theta_2d(lambda p, psis: np.sin(p) * np.sin(psis), ctx05)
-        assert complex(r.value) == pytest.approx(4.0, rel=1e-11)
-
-    def test_constant(self, ctx05):
-        r = integrate_theta_2d(lambda p, psis: np.ones_like(psis), ctx05)
-        assert complex(r.value) == pytest.approx(np.pi**2, rel=1e-12)
-
-    def test_poisson_reproducing_collapse(self, ctx05):
-        # double integral of the two coupled Poisson denominators against a
-        # test function collapses to the single integral with merged order
-        q, a, b = 0.5, 0.8, 0.6
-        psi0 = 1.1  # outer evaluation angle
-        ctx = ctx05
-
-        def g(phis):
-            return np.cos(phis) ** 2
-
-        qa = complex(qpoch_infinite(q**a, ctx))
-        qb = complex(qpoch_infinite(q**b, ctx))
-        qab = complex(qpoch_infinite(q ** (a + b), ctx))
-
-        def h_pair(phis, s, center):
-            z = np.exp(1j * center)
-            zeta = np.exp(1j * phis)
-            return np.asarray(qpoch_infinite(np.multiply.outer(zeta, s * z), ctx)).reshape(phis.shape) \
-                * np.asarray(qpoch_infinite(np.multiply.outer(1 / zeta, s * z), ctx)).reshape(phis.shape) \
-                * np.asarray(qpoch_infinite(np.multiply.outer(zeta, s / z), ctx)).reshape(phis.shape) \
-                * np.asarray(qpoch_infinite(np.multiply.outer(1 / zeta, s / z), ctx)).reshape(phis.shape)
-
-        def f2(phi, psis):
-            inner = (weight_wH_sin(psis, ctx) * g(psis)
-                     / h_pair(psis, q ** (b / 2.0), phi))
-            outer = weight_wH_sin(np.array([phi]), ctx)[0] / h_pair(
-                np.array([phi]), q ** (a / 2.0), psi0)[0]
-            return qa * qb * outer * inner
-
-        lhs = complex(integrate_theta_2d(f2, ctx05).value)
-
-        def f1(psis):
-            return qab * weight_wH_sin(psis, ctx) * g(psis) / h_pair(
-                psis, q ** ((a + b) / 2.0), psi0)
-
-        rhs = complex(integrate_theta(f1, ctx05).value)
-        assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -9,12 +9,14 @@ divided differences consume that headroom one q^{1/2} layer per application.
 Composing past the annulus raises AnnulusExhausted instead of silently
 evaluating a wrong branch of the integral representation.
 
-The integral operators state the strip in which their integrand is analytic,
-the narrower of the kernel's and the operand's (its annulus and the poles of
-its 1/h factor), so at moderate t = q^{a/2}, q^{1/2} or r, with the operand's
-poles not too near the contour, they run the periodic trapezoid rule, and the
-adaptive one otherwise (see quadrature).  An integral that does not
-converge raises NonConvergent; no operator returns an unconverged value.
+The integral operators state where their integrand stops being analytic:
+the kernel's peak at phi = |arg z| with its poles' distance from the contour,
+for each z, and the operand's strip (its annulus and the poles of its 1/h
+factor).  So at moderate t = q^{a/2}, q^{1/2} or r they run the periodic
+trapezoid rule, at t near 1 the sinh-mapped Gauss-Legendre rule split at the
+peaks, and the adaptive rule when the operand's own poles come too near the
+contour for either (see quadrature).  An integral that does not converge
+raises NonConvergent; no operator returns an unconverged value.
 
 Operators:
 
@@ -260,19 +262,24 @@ def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
     across a batch, and folding it in keeps every component O(1) for the
     per-component error budgets.
 
-    The kernel's poles lie at |Im phi| = -ln(|t| max(|z|, 1/|z|)) (t = 0
-    makes the kernel constant); integrate_theta gets the narrower of that and
-    g_strip, so moderate t and a g without poles near the contour get the
-    trapezoid rule, and the adaptive one runs otherwise.
+    The kernel of z_k peaks at phi = |arg(z_k sign t)| with its poles at
+    |Im phi| = -ln(|t| max(|z_k|, 1/|z_k|)) (t = 0 makes it constant).
+    integrate_theta gets both and g_strip, and picks the rule from them: the
+    trapezoid rule when the narrowest of these strips allows, else the
+    sinh-mapped rule at the peaks when g's own poles leave it room, else the
+    adaptive rule.
     """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
 
     def integrand(phis):
-        base = weight_wH_sin(phis, ctx) * g(phis)
-        return base[:, None] * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
+        flat = phis.ravel()
+        base = (weight_wH_sin(flat, ctx) * g(flat)).reshape(len(phis), -1)
+        return base * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
 
-    mods = np.abs(np.atleast_1d(z))
-    kernel_strip = h_pole_strip([t * float(np.max(np.maximum(mods, 1.0 / mods)))])
-    return integrate_theta(integrand, ctx, strip=min(kernel_strip, g_strip))
+    mods = np.abs(z)
+    width = np.array([h_pole_strip([t * m]) for m in np.maximum(mods, 1.0 / mods)])
+    centre = np.abs(np.angle(z * np.sign(t)))
+    return integrate_theta(integrand, ctx, strip=g_strip, peaks=(centre, width))
 
 
 def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, label,

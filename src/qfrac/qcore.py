@@ -154,15 +154,19 @@ def _paired_theta_sum(zv, out, pair, what: str, ctx: QContext):
     """out + sum over m >= 1 of pair(m, q^{binom(m+1,2)}, z^{m+1}, z^{-m}), the
     terms m+1 and -m of a bilateral theta sum, until two consecutive pairs
     fall below eps_trunc relative to the running maximum of the partial sums
-    (the maximum, not the sum, guards against cancellation near zeros)."""
+    (the maximum, not the sum, guards against cancellation near zeros).
+    A term that overflows raises NonConvergent."""
     run_max = np.maximum(np.abs(out), 1.0)
     zp = zv.copy()        # z^m
     zm = np.ones_like(zv)  # z^-m
     small = 0
     for m in range(1, ctx.max_terms + 1):
-        zp = zp * zv
-        zm = zm / zv
-        term = pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
+        with np.errstate(all="ignore"):
+            zp = zp * zv
+            zm = zm / zv
+            term = pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
+        if not np.all(np.isfinite(term)):
+            raise NonConvergent(f"{what}: term {m} overflows")
         out = out + term
         run_max = np.maximum(run_max, np.abs(out))
         small = small + 1 if float(np.max(np.abs(term))) < ctx.eps_trunc * float(np.max(run_max)) else 0

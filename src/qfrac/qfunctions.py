@@ -204,11 +204,13 @@ def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
 
         (t^2; q)_oo / (t zeta z, t z/zeta, t zeta/z, t/(zeta z); q)_oo.
 
-    On |z| = 1, z = e^{i theta}, this is poisson_kernel(theta, phi, t).  The
-    four denominator products share one truncation length, set by the
-    largest modulus among them.
+    zeta is one node array for every z, or an (m, len(z)) array whose column
+    k holds the nodes of z_k.  On |z| = 1, z = e^{i theta}, this is
+    poisson_kernel(theta, phi, t).  The four denominator products share one
+    truncation length, set by the largest modulus among them.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))[:, None]
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    zeta = zeta.reshape(len(zeta), -1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))[None, :]
     # t rides on the per-z factors so each argument takes one rounding per
     # node: near phi = theta the factor 1 - t zeta/z cancels, and rounding
@@ -231,11 +233,18 @@ def _aw_recurrence_coeffs(n: int, t: AWParams, ctx: QContext):
 
 
 def aw_polynomial_x(n: int, x, t: AWParams, ctx: QContext):
-    """p_n at arbitrary (possibly complex) x via the three-term recurrence."""
+    """p_n at arbitrary (possibly complex) x via the three-term recurrence.
+
+    p_n is symmetric in t1..t4, so the parameter of largest modulus leads the
+    recurrence and the scale: a small lead would cancel against its own
+    1/t1 in every step and its t1^{-n}.  All four 0 is the continuous
+    q-Hermite limit H_n(x|q)."""
+    t = AWParams(*sorted(t.as_tuple(), key=abs, reverse=True))
     a = complex(t.t1)
-    if a == 0:
-        raise DomainError("aw_polynomial needs t1 != 0")
     xv = np.asarray(x, dtype=np.complex128)
+    if a == 0:
+        out = hermite_cq_all(n, xv, ctx)[n]
+        return complex(out) if np.ndim(x) == 0 else out
     p_prev = np.zeros_like(xv)
     p_cur = np.ones_like(xv)
     for m in range(n):

@@ -1,4 +1,5 @@
-"""Quadrature on [0, pi]: a periodic trapezoid rule and adaptive Gauss-Kronrod.
+"""Quadrature on [0, pi]: a periodic trapezoid rule, a sinh-mapped
+Gauss-Legendre rule and adaptive Gauss-Kronrod.
 
 Integrands that are even, 2pi-periodic and analytic in the strip
 |Im phi| < b (every Poisson-kernel integral) may state b.  When the rule size
@@ -7,15 +8,25 @@ nodes pi j / M, whose error falls like e^{-2bM} (Trefethen & Weideman,
 SIAM Rev. 56 (2014) 385-458).  M doubles from 16, each step evaluating only
 the new odd nodes, until two successive rules agree.
 
-Every other integrand, and every strip too narrow for the cap, gets adaptive
-refinement: a 15-point Kronrod rule with the embedded 7-point Gauss rule is
-applied per panel; panels whose |K15 - G7| exceeds their share of the error
-budget are bisected, leftmost-first, so the panel ordering (and therefore the
-floating point result) is identical on every run with the same context.
+Integrands that peak may state their peaks too: per component a centre and
+the distance of its poles from the contour (the Poisson kernel as t -> 1).
+When b is too narrow for the trapezoid rule and the rest of the integrand
+leaves room, [0, pi] is split at each centre and each piece gets
+Gauss-Legendre under the sinh map of Johnston & Elliott (IJNME 62 (2005)
+564-578), which clusters the nodes at the peak on the scale of the pole
+distance; every component has nodes of its own, and M doubles from 16 until
+two successive rules agree.
 
-Both rules share one convergence test: every component's error estimate is
-at most quad_rel_tol * max(|value|, L1 mass), the mass being the integral of
-|f| (an integral that cancels to 0 is judged against what it cancels).
+Every other integrand, and every strip too narrow for either cap, gets
+adaptive refinement: a 15-point Kronrod rule with the embedded 7-point Gauss
+rule is applied per panel; panels whose |K15 - G7| exceeds their share of the
+error budget are bisected, leftmost-first, so the panel ordering (and
+therefore the floating point result) is identical on every run with the same
+context.
+
+All three rules share one convergence test: every component's error estimate
+is at most quad_rel_tol * max(|value|, L1 mass), the mass being the integral
+of |f| (an integral that cancels to 0 is judged against what it cancels).
 
 Integrands may be vector valued: f(nodes) may return shape (m,) or (m, B)
 for B simultaneous integrals (one rule, driven by the worst component).
@@ -25,6 +36,7 @@ quadrature.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import threading
@@ -81,7 +93,9 @@ class QuadResult:
     quad_rel_tol * max(|value|, L1 mass); converged means err_ratio <= 1 and
     the rule stopped on that test, not on a depth or size cap.  err_est is
     the largest absolute estimate.  value is complex for scalar integrands,
-    an ndarray for vector ones.
+    an ndarray for vector ones.  evals counts the nodes f was called on; the
+    sinh-mapped rule gives every component nodes of its own, and each of
+    those counts once.
     """
 
     value: object
@@ -215,11 +229,14 @@ _TRAP_MAX_M = 8192
 _TRAP_BLOCK = 4096
 
 
-def _trap_sums(f, x, per_call):
-    """Sums of f and |f| over the nodes x, f called on blocks of per_call."""
+def _block_sums(f, x, per_call, w=None):
+    """Sums over the leading axis of w f(x) and |w f(x)|, f called on blocks
+    of per_call rows of x (w = None weighs every node 1)."""
     total = l1 = 0.0
-    for i in range(0, x.size, per_call):
+    for i in range(0, len(x), per_call):
         fx = np.asarray(f(x[i:i + per_call]), dtype=np.complex128)
+        if w is not None:
+            fx = w[i:i + per_call] * fx
         total = total + fx.sum(axis=0)
         l1 = l1 + np.abs(fx).sum(axis=0)
     eval_counter.n += x.size
@@ -241,7 +258,7 @@ def _trapezoid(f, ctx: QContext) -> QuadResult:
     value = np.pi / m * total
     evals = m + 1
     while True:
-        new, new_l1 = _trap_sums(f, np.pi * (2 * np.arange(m) + 1) / (2 * m), per_call)
+        new, new_l1 = _block_sums(f, np.pi * (2 * np.arange(m) + 1) / (2 * m), per_call)
         evals += m
         m *= 2
         total, l1 = total + new, l1 + new_l1
@@ -252,7 +269,92 @@ def _trapezoid(f, ctx: QContext) -> QuadResult:
             return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
 
 
-def integrate_theta(f, ctx: QContext, strip: float | None = None) -> QuadResult:
+# Sinh-mapped Gauss-Legendre rule: M nodes per piece, doubling from _SINH_M0
+# to the cap _SINH_MAX_M; f is called on blocks of rows as in the trapezoid
+# rule.  The rule size is predicted from _SINH_SAMPLES points of the line
+# |Im phi| = strip.
+_SINH_M0 = 16
+_SINH_MAX_M = 4096
+_SINH_SAMPLES = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the three-term recurrence of P_m, from the
+    asymptotic guesses cos(pi (k - 1/4) / (m + 1/2))."""
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = m * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _bernstein_rho(s):
+    """rho of the Bernstein ellipse through s, the foci being -1 and 1:
+    Gauss-Legendre on [-1, 1] loses a factor rho^2 per node to a pole at s."""
+    root = np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
+    return np.maximum(np.abs(s + root), np.abs(s - root))
+
+
+def _sinh_pieces(centre, width):
+    """Lengths V of the mapped pieces [0, centre] and [centre, pi]: shape
+    (2, B), phi = centre -+ width sinh(v), v in [0, V]."""
+    return np.arcsinh(np.stack((centre, np.pi - centre)) / width)
+
+
+def _sinh_m_pred(centre, width, strip, ctx: QContext) -> float:
+    """Predicted M for the sinh-mapped rule: ln(1/quad_rel_tol) / (2 ln rho)
+    at the smallest Bernstein rho, over both pieces of every component, of
+    the peak's pole (v = i pi/2) and of the line Im phi = strip, wherever
+    along it f's other poles sit."""
+    span = _sinh_pieces(centre, width)[..., None]
+    sigma = np.linspace(-1.0, 1.0, _SINH_SAMPLES)
+    x = width[:, None] * np.sinh(0.5 * span * (1.0 + sigma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = _bernstein_rho(-1.0 + 1j * np.pi / span)
+        if math.isfinite(strip):
+            line = 2.0 * np.arcsinh((x + 1j * strip) / width[:, None]) / span - 1.0
+            rho = np.concatenate((rho, _bernstein_rho(line)), axis=-1)
+    rho = np.min(rho[span[..., 0] > 0], axis=-1)  # an empty piece costs nothing
+    return math.log(1.0 / ctx.quad_rel_tol) / (2.0 * math.log(float(np.min(rho))))
+
+
+def _sinh_gl(f, centre, width, ctx: QContext) -> QuadResult:
+    """Integral of f over [0, pi], split at each component's centre and each
+    piece mapped by phi = centre -+ width sinh(v) (Johnston & Elliott, IJNME
+    62 (2005) 564-578), which clusters the nodes at the peak on the scale of
+    its width; Gauss-Legendre in v.  Converged once |I_2M - I_M| meets the
+    shared test; at the cap M = _SINH_MAX_M it stops with converged=False."""
+    span = _sinh_pieces(centre, width)
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    per_call = max(1, _TRAP_BLOCK // centre.size)
+    m, prev, evals = _SINH_M0, None, 0
+    while True:
+        s, w = _gauss_legendre(m)
+        v = 0.5 * span[:, None, :] * (1.0 + s[:, None])  # (2, m, B)
+        x = (centre + sign * width * np.sinh(v)).reshape(2 * m, -1)
+        wt = (0.5 * span[:, None, :] * w[:, None] * width * np.cosh(v)).reshape(2 * m, -1)
+        value, l1 = _block_sums(f, x, per_call, wt)
+        evals += x.size
+        if prev is not None:
+            err = np.abs(value - prev)
+            ratio = _err_ratio(err, value, l1, ctx)
+            if ratio <= 1.0 or m >= _SINH_MAX_M:
+                return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
+        prev, m = value, 2 * m
+
+
+def integrate_theta(f, ctx: QContext, strip: float | None = None,
+                    peaks=None) -> QuadResult:
     """Integral of f over [0, pi].
 
     f receives a numpy array of nodes and must return an array of matching
@@ -265,13 +367,32 @@ def integrate_theta(f, ctx: QContext, strip: float | None = None) -> QuadResult:
     M_pred = ln(1 / quad_rel_tol) / (2 strip), and the doubling that shows
     it, comparing I_M with I_{M/2}, comes near 2 to 4 M_pred.  The rule runs
     when 4 M_pred is at most half the cap _TRAP_MAX_M, so only a strip stated
-    wider than the true one reaches the cap; otherwise, and without strip,
-    the adaptive rule runs.  Neither rule raises on failure: a depth or size
-    cap is reported as converged=False on the best available value (see
-    converged_value).
+    wider than the true one reaches the cap.
+
+    peaks = (centre, width), two arrays of length B, states that component k
+    of f also has poles at +-centre_k +- i width_k (strip then bounds the
+    rest), and that f accepts an (m, B) node array whose column k holds
+    component k's nodes.  The trapezoid rule then sees the strip
+    min(strip, min width).  When that is too narrow for it and every width
+    lies in (0, strip), the sinh-mapped Gauss-Legendre rule runs if 4 times
+    its predicted M (_sinh_m_pred) is at most half its cap _SINH_MAX_M, so
+    again only a width stated wider than the true one reaches the cap.
+
+    Every other integrand gets the adaptive rule.  No rule raises on
+    failure: a depth or size cap is reported as converged=False on the best
+    available value (see converged_value).
     """
-    if strip is not None:
-        m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * strip) if strip > 0 else math.inf
-        if 4.0 * m_pred <= _TRAP_MAX_M / 2:
-            return _trapezoid(f, ctx)
+    if strip is None:
+        return _quad_vec(f, ctx)
+    if peaks is not None:
+        centre, width = (np.asarray(p, dtype=np.float64) for p in peaks)
+        near = min(strip, float(np.min(width)))
+    else:
+        near = strip
+    m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * near) if near > 0 else math.inf
+    if 4.0 * m_pred <= _TRAP_MAX_M / 2:
+        return _trapezoid(f, ctx)
+    if (peaks is not None and bool(np.all((width > 0) & (width < strip)))
+            and 4.0 * _sinh_m_pred(centre, width, strip, ctx) <= _SINH_MAX_M / 2):
+        return _sinh_gl(f, centre, width, ctx)
     return _quad_vec(f, ctx)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestVerify:
 
 
     def test_numerical_breakdown_is_a_failure(self, tmp_path):
-        # z = 1e-300 exhausts the theta series window: NonConvergent, no traceback
+        # z = 1e-300 overflows the theta series: NonConvergent, no traceback
         out = tmp_path / "v.json"
         code, stdout, _ = run_cli(["verify", "--id", "I0d", "--q", "0.5", "--z", "1e-300",
                                    "--out", str(out)])
@@ -67,6 +68,13 @@ class TestVerify:
         assert "passed=False" in stdout and "NonConvergent" in stdout
         row, = json.loads(out.read_text())
         assert row["passed"] is False and "NonConvergent" in row["notes"]
+
+    def test_overflow_emits_no_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, _ = run_cli(["verify", "--id", "I0d", "--q", "0.5", "--z", "1e-300"])
+        assert code == 1 and "passed=False" in stdout
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSuite:

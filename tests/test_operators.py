@@ -76,24 +76,77 @@ class TestPoissonIntegral:
                     np.exp(1j * grid), 1.0, ctx05)
                 assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
 
-    def test_peaked_t_stays_adaptive(self, ctx05):
-        # t = 0.9995 predicts M ~ 25,000 nodes: the adaptive rule runs, with
-        # the node count it has without a strip
-        t, z = 0.9995, np.exp(1j * np.array([0.7, 2.1]))
+    def test_peaked_t_takes_sinh_rule(self, ctx05):
+        # |t| = 0.9995 predicts M ~ 25,000 trapezoid nodes: the sinh-mapped
+        # rule runs (t < 0 moves the peaks to pi - theta) and matches the
+        # adaptive rule with fewer nodes
+        z = np.exp(1j * np.array([0.7, 2.1]))
 
         def g(phis):
             return np.cos(phis) ** 2
 
-        res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
+        for t in (0.9995, -0.9995):
+            res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
 
-        def igr(phis):
-            return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
-                np.exp(1j * phis), z, t, ctx05)
+            def igr(phis):
+                return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
+                    np.exp(1j * phis), z, t, ctx05)
 
-        ref = quadrature.integrate_theta(igr, ctx05)
-        assert res.converged
-        assert res.evals == ref.evals
-        assert np.array_equal(res.value, ref.value)
+            ref = quadrature.integrate_theta(igr, ctx05)
+            assert res.converged and ref.converged
+            assert res.evals < ref.evals
+            assert np.max(np.abs(res.value - ref.value)) < 1e-12
+
+    def test_sinh_rule_at_divided_difference_points(self, ctx05):
+        # z at +-1, at D_q's Richardson points 1 +- 1e-6 and at |z| = q^{+-1/2}
+        # with t just inside that annulus: every kernel peaked, every value
+        # the adaptive rule's
+        rq = math.sqrt(ctx05.q)
+        w = np.exp(0.9j)
+        for t, z in ((0.999, np.array([1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -1.0 - 1e-6])),
+                     (0.999 * rq, np.array([rq * w, w / rq]))):
+
+            def g(phis):
+                return np.cos(phis) ** 2 + 0.5 * np.cos(phis)
+
+            res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
+
+            def igr(phis):
+                return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
+                    np.exp(1j * phis), z, t, ctx05)
+
+            ref = quadrature.integrate_theta(igr, ctx05)
+            assert res.converged and res.evals < ref.evals
+            assert np.max(np.abs(res.value - ref.value) / np.abs(ref.value)) < 1e-10
+
+    @pytest.mark.parametrize("q", (0.3, 0.7))
+    @pytest.mark.parametrize("a", (1e-3, 0.01))
+    def test_near_identity_k_against_eigen_action(self, a, q):
+        ctx = QContext(q=q)
+        p = op.KParams(a, 1.2)
+        grid = theta_grid(17)
+        for n in range(4):
+            got = op.apply_K(p, op.eigen_k_basis(1.2, n, ctx), ctx).on_theta(grid)
+            want = op.apply_K_eigen(p, n, grid, ctx)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_operand_pole_near_contour_stays_adaptive(self, monkeypatch):
+        # I2's rung a = 0.01 at c = 1.4, q = 0.7: 1/h(.; -1/c, -cq) has poles
+        # 0.020 from the contour, where the sinh map thins its nodes, and the
+        # sinh rule's predicted M (about 2,300) is above its bound of 512;
+        # at c = 1.2 (poles 0.17 away, predicted M about 260) it runs
+        rules = []
+        for name in ("_trapezoid", "_sinh_gl", "_quad_vec"):
+            def spy(*args, _orig=getattr(quadrature, name), _name=name):
+                rules.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(quadrature, name, spy)
+        ctx = QContext(q=0.7)
+        f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
+        for c in (1.4, 1.2):
+            op.apply_K(op.KParams(0.01, c), f, ctx).on_theta(np.array([0.7]))
+        assert rules == ["_quad_vec", "_sinh_gl"]
 
     def test_operand_poles_near_contour(self):
         # 1/h(.; 0.999, 0.3) in T and 1/h(.; -1/c, -cq) at cq = 0.9975 in K put
@@ -108,11 +161,13 @@ class TestPoissonIntegral:
             assert rep.status == "pass", rep.residual.notes
 
     def test_unconverged_integral_fails_the_case(self):
-        ctx = QContext(q=0.5, quad_max_depth=1)
+        # the operand's poles 0.020 from the contour keep I2's small-a rungs
+        # at c = 1.4, q = 0.7 on the adaptive rule, which a depth cap of 1 stops
+        ctx = QContext(q=0.7, quad_max_depth=1)
         f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
         with pytest.raises(NonConvergent, match="did not converge"):
-            op.apply_K(op.KParams(0.01, 1.2), f, ctx).on_theta(GRID)
-        rep = idn.run_case(idn.IdentityCase("I2", {"q": 0.5, "c": 1.2, "grid_points": 5}),
+            op.apply_K(op.KParams(0.01, 1.4), f, ctx).on_theta(GRID)
+        rep = idn.run_case(idn.IdentityCase("I2", {"q": 0.7, "c": 1.4, "grid_points": 5}),
                             ctx)
         assert rep.status == "fail"
         assert "NonConvergent" in rep.residual.notes

@@ -145,3 +145,33 @@ class TestTrapezoid:
         assert not r.converged and r.err_ratio > 1.0
         with pytest.raises(NonConvergent, match="did not converge"):
             converged_value(r, "1/(a - cos)")
+
+
+class TestSinhGL:
+    @staticmethod
+    def _pair(phis, centre, beta):
+        # even and 2pi-periodic, poles at +-centre +- i beta
+        # cosh b - cos x = 2 sinh^2(b/2) + 2 sin^2(x/2), without cancellation
+        def lorentz(x):
+            return 0.5 / (np.sinh(0.5 * beta) ** 2 + np.sin(0.5 * x) ** 2)
+
+        return lorentz(phis - centre) + lorentz(phis + centre)
+
+    def test_per_column_peaks(self, ctx05):
+        # one column per peak; the stated widths are the true ones
+        centre, beta = np.array([0.0, 1.3, np.pi]), np.array([1e-3, 1e-4, 2e-3])
+        r = integrate_theta(lambda phis: self._pair(phis, centre, beta), ctx05,
+                            strip=math.inf, peaks=(centre, beta))
+        # int_0^pi 1/(cosh b - cos(phi -+ c)) summed = int_0^2pi = 2 pi / sinh b
+        assert r.converged and r.evals < 2000 * centre.size
+        assert np.max(np.abs(r.value * np.sinh(beta) / (2.0 * np.pi) - 1.0)) < 1e-11
+
+    def test_stated_width_too_wide(self, ctx05):
+        # true width 1e-9, stated 1e-2: the map clusters too loosely and the
+        # rule stops at its cap
+        centre = np.array([1.1])
+        r = integrate_theta(lambda phis: self._pair(phis, centre, 1e-9), ctx05,
+                            strip=math.inf, peaks=(centre, np.array([1e-2])))
+        assert not r.converged and r.err_ratio > 1.0
+        with pytest.raises(NonConvergent, match="did not converge"):
+            converged_value(r, "peaked pair")

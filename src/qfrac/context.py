@@ -12,15 +12,14 @@ class QContext:
     q            -- base of all q-series, strictly inside (0, 1)
     eps_trunc    -- tail cutoff for infinite products and bilateral series
     max_terms    -- hard cap on product/series length before NonConvergent
-    quad_rel_tol -- relative tolerance target of the adaptive quadrature
-    quad_max_depth -- bisection depth cap of the adaptive quadrature
+    quad_rel_tol -- relative tolerance target of every quadrature rule; the
+                    rules' sizes are capped in quadrature, not here
     """
 
     q: float
     eps_trunc: float = 1e-15
     max_terms: int = 512
     quad_rel_tol: float = 1e-11
-    quad_max_depth: int = 40
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):

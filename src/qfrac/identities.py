@@ -26,7 +26,7 @@ from .context import QContext
 from .errors import CaseInvalid, ParamDomain, QFracError
 from .qcore import (
     bhs_terminating,
-    h_pole_strip,
+    h_poles,
     h_product_z,
     jtp_theta_series,
     qpoch_finite,
@@ -189,7 +189,8 @@ def _run_I0a(params, variant, ctx, tol):
         w = weight_wH_sin(phis, ctx)
         return np.stack([w * H[m] * H[n] for (m, n) in pairs], axis=1)
 
-    gram = np.atleast_1d(converged_value(integrate_theta(igr, ctx), "q-Hermite Gram matrix"))
+    gram = np.atleast_1d(converged_value(integrate_theta(igr, ctx, strip=math.inf),
+                                         "q-Hermite Gram matrix"))
     want = np.array([
         complex(qpoch_finite(ctx.q, n, ctx)) if m == n else 0.0 for (m, n) in pairs
     ])
@@ -226,8 +227,8 @@ def _run_I0c(params, variant, ctx, tol):
                 h_product_z(np.exp(1j * phis), [a for a in quad if a != 0.0], ctx)
             )
 
-        lhs.append(complex(converged_value(integrate_theta(igr, ctx),
-                                           f"Askey-Wilson integral {quad}")))
+        res = integrate_theta(igr, ctx, strip=math.inf, poles=h_poles(quad))
+        lhs.append(complex(converged_value(res, f"Askey-Wilson integral {quad}")))
         prod = complex(qpoch_infinite(quad[0] * quad[1] * quad[2] * quad[3], ctx))
         for j in range(4):
             for k in range(j + 1, 4):
@@ -601,9 +602,9 @@ def _bilinear_kernel(phi1, phi2, h_params, t_shift: AWParams, w0_h, s, t_base: A
     """[w_H sin phi1 / h(phi1; h_params)] [w_H sin phi2 / h(phi2; h_params)]
     / w(phi2; t_base) * integral_0^pi w0(theta) P_s(theta, phi1) P_s(theta, phi2) dtheta
     with w0 = _w0(., t_shift, w0_h) and P_s the q-Hermite Poisson kernel: the
-    kernel of both bilinear formulas.  The poles w0 keeps, those of
-    1/h(cos theta; t_shift.t3, t_shift.t4), and the kernels' at
-    |Im theta| = -ln|s| bound the strip of the integrand."""
+    kernel of both bilinear formulas.  The integrand's poles are the
+    kernels' peaks, at theta = |arg(s e^{i phi_k})| and |Im theta| = -ln|s|,
+    and those w0 keeps, of 1/h(cos theta; t_shift.t3, t_shift.t4)."""
     z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
     br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, h_params, ctx))
     br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, h_params, ctx))
@@ -613,7 +614,8 @@ def _bilinear_kernel(phi1, phi2, h_params, t_shift: AWParams, w0_h, s, t_base: A
         return _w0(ths, t_shift, w0_h, ctx) * np.prod(
             poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
 
-    res = integrate_theta(igr, ctx, strip=h_pole_strip([s, t_shift.t3, t_shift.t4]))
+    res = integrate_theta(igr, ctx, strip=math.inf,
+                          poles=h_poles([s * z1, s * z2, t_shift.t3, t_shift.t4]))
     inner = complex(converged_value(res, f"coupling integral at s={s:.6g}"))
     return br1 * br2 * inner / aw_weight(phi2, t_base, ctx)
 
@@ -705,8 +707,8 @@ def _run_I16(params, variant, ctx, tol):
                 h_product_z(np.exp(1j * phis), [-1.0 / c, -c * q], ctx))
 
         zv = np.exp(1j * np.atleast_1d(thetas))
-        res = op.poisson_integral(q ** (a / 2.0), g, h_pole_strip([-1.0 / c, -c * q]), zv, 1.0,
-                                  ctx)
+        res = op.poisson_integral(q ** (a / 2.0), g, math.inf, zv, 1.0, ctx,
+                                  h_poles([-1.0 / c, -c * q]))
         return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
 
     tsh = _shift6(a, c, a3, a4, q)
@@ -717,7 +719,10 @@ def _run_I16(params, variant, ctx, tol):
             i_m = i_n if m == n else itilde(m, ths)
             return _w0(ths, tsh, [tsh.t2, tsh.t1], ctx) * i_n * i_m
 
-        return complex(converged_value(integrate_theta(igr, ctx), f"triple integral ({m},{n})"))
+        # Itilde_n has annulus q^{a/2}; w0 keeps the poles of 1/h(.; t3, t4)
+        res = integrate_theta(igr, ctx, strip=-math.log(q ** (a / 2.0)),
+                              poles=h_poles([tsh.t3, tsh.t4]))
+        return complex(converged_value(res, f"triple integral ({m},{n})"))
 
     diag_notes = []
     for n in (0, 1):
@@ -892,7 +897,7 @@ REGISTRY = {
         IdentityDef("I1", "K composition law", 1e-7, _run_I1, ("q", "a", "b", "c")),
         IdentityDef("I2", "K identity limit ladder", 1e-7, _run_I2, ("q", "c")),
         IdentityDef("I3", "D_q K_{a,c} = K_{a-1,c}", 1e-7, _run_I3, ("q", "a", "c")),
-        IdentityDef("I4", "left inverse", 1e-6, _run_I4, ("q", "a", "c"),
+        IdentityDef("I4", "left inverse", 1e-7, _run_I4, ("q", "a", "c"),
                     ("half", "full")),
         IdentityDef("I5", "K eigen-action", 1e-7, _run_I5, ("q", "a", "c")),
         IdentityDef("I6", "generator closed form vs FD", 1e-5, _run_I6,

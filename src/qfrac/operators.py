@@ -11,12 +11,12 @@ evaluating a wrong branch of the integral representation.
 
 The integral operators state where their integrand stops being analytic:
 the kernel's peak at phi = |arg z| with its poles' distance from the contour,
-for each z, and the operand's strip (its annulus and the poles of its 1/h
-factor).  So at moderate t = q^{a/2}, q^{1/2} or r they run the periodic
-trapezoid rule, at t near 1 the sinh-mapped Gauss-Legendre rule split at the
-peaks, and the adaptive rule when the operand's own poles come too near the
-contour for either (see quadrature).  An integral that does not converge
-raises NonConvergent; no operator returns an unconverged value.
+for each z, the poles of the operand's 1/h factor, and the operand's annulus.
+So at moderate t = q^{a/2}, q^{1/2} or r they run the periodic trapezoid
+rule, and at t near 1, or with the operand's poles near the contour, the
+sinh-mapped Gauss-Legendre rule split at the peaks and the poles (see
+quadrature).  An integral that does not converge raises NonConvergent; no
+operator returns an unconverged value.
 
 Operators:
 
@@ -45,7 +45,7 @@ import numpy as np
 from .chebyshev import cheb_apply_dq, cheb_eval, cheb_fit_adaptive
 from .context import QContext
 from .errors import AnnulusExhausted, DivisionNearZero, ParamDomain
-from .qcore import h_pole_strip, h_product_z, qpoch_infinite
+from .qcore import h_poles, h_product_z, qpoch_infinite
 from .qfunctions import hermite_cq_all, poisson_kernel_z, q_exponential, weight_wH_sin
 from .quadrature import QuadResult, converged_value, integrate_theta
 
@@ -176,6 +176,11 @@ class AnalyticFn:
         return self(np.exp(1j * np.asarray(theta, dtype=np.float64)))
 
 
+def _annulus_strip(f: AnalyticFn) -> float:
+    """-ln annulus_rho: f(e^{i phi}) is analytic for |Im phi| below it."""
+    return -math.log(f.annulus_rho) if f.annulus_rho > 0 else math.inf
+
+
 def analytic_from_x(fn, rho: float = 1e-9, label: str = "") -> AnalyticFn:
     """Wrap a vectorized function of x; symmetric in z -> 1/z by construction."""
     return AnalyticFn(lambda z: fn((z + 1.0 / z) / 2.0), rho, label)
@@ -252,11 +257,13 @@ def apply_Dq(f: AnalyticFn, ctx: QContext) -> AnalyticFn:
 # K_{a,c} family
 # ---------------------------------------------------------------------------
 
-def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
+def poisson_integral(t, g, g_strip, z, pref, ctx: QContext, g_poles=()) -> QuadResult:
     """pref(z) * integral_0^pi w_H(cos phi) sin phi g(phi) P_t(phi, z) dphi for
     every z of a batch, with P_t = poisson_kernel_z the q-Hermite Poisson
     kernel.  g maps an array of angles phi to g(phi) and is even, 2pi-periodic
-    and analytic for |Im phi| < g_strip; pref is a scalar or one value per z.
+    and analytic for |Im phi| < g_strip apart from its poles g_poles,
+    (centre, distance) pairs as h_poles gives them; pref is a scalar or one
+    value per z.
 
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
@@ -264,10 +271,10 @@ def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
 
     The kernel of z_k peaks at phi = |arg(z_k sign t)| with its poles at
     |Im phi| = -ln(|t| max(|z_k|, 1/|z_k|)) (t = 0 makes it constant).
-    integrate_theta gets both and g_strip, and picks the rule from them: the
-    trapezoid rule when the narrowest of these strips allows, else the
-    sinh-mapped rule at the peaks when g's own poles leave it room, else the
-    adaptive rule.
+    integrate_theta gets these peaks, g's poles and g_strip, and picks the
+    rule from them: the trapezoid rule when the narrowest of them allows,
+    else the sinh-mapped rule, on nodes shared by every z when the peaks are
+    wide enough, else per z.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
 
@@ -276,28 +283,26 @@ def poisson_integral(t, g, g_strip, z, pref, ctx: QContext) -> QuadResult:
         base = (weight_wH_sin(flat, ctx) * g(flat)).reshape(len(phis), -1)
         return base * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
 
-    mods = np.abs(z)
-    width = np.array([h_pole_strip([t * m]) for m in np.maximum(mods, 1.0 / mods)])
-    centre = np.abs(np.angle(z * np.sign(t)))
-    return integrate_theta(integrand, ctx, strip=g_strip, peaks=(centre, width))
+    peaks = h_poles(t * np.where(np.abs(z) >= 1.0, z, 1.0 / z)).T if t else None
+    return integrate_theta(integrand, ctx, strip=g_strip, peaks=peaks, poles=g_poles)
 
 
 def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, label,
                       ctx: QContext) -> AnalyticFn:
     """The operator f -> pref_const h(x; pref_params) * poisson_integral of
     g = f / h(.; params) at t, shared by D_q^{-1}, K_{a,c} and T(a,b,r).  g is
-    analytic as far as f's annulus and 1/h's poles allow.  The output carries
-    annulus rho and memoizes its pointwise quadratures."""
+    analytic as far as f's annulus allows, apart from 1/h's poles.  The
+    output carries annulus rho and memoizes its pointwise quadratures."""
 
     def g(phis):
         zeta = np.exp(1j * phis)
         return f(zeta) / h_product_z(zeta, params, ctx)
 
-    g_strip = min(h_pole_strip([f.annulus_rho]), h_pole_strip(params))
+    g_strip, g_poles = _annulus_strip(f), h_poles(params)
 
     def ev(zv):
         pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        res = poisson_integral(t, g, g_strip, zv, pref, ctx)
+        res = poisson_integral(t, g, g_strip, zv, pref, ctx, g_poles)
         return np.atleast_1d(converged_value(res, label))
 
     return AnalyticFn(ev, rho, label=label, memoize=True)
@@ -620,7 +625,8 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
             h = np.asarray(h_product_z(np.exp(1j * phis), hpars, ctx))
             return e * gv * weight_wH_sin(phis, ctx) / h
 
-        return complex(converged_value(integrate_theta(igr, ctx), f"adjoint pairing, {side}"))
+        res = integrate_theta(igr, ctx, strip=_annulus_strip(g), poles=h_poles(hpars))
+        return complex(converged_value(res, f"adjoint pairing, {side}"))
 
     if side == "left":
         return pairing(apply_K(p, f, ctx), tval, [-c * q ** (1.0 - a / 2.0), -q ** (a / 2.0) / c])

@@ -29,7 +29,7 @@ __all__ = [
     "euler_product",
     "h_product",
     "h_product_z",
-    "h_pole_strip",
+    "h_poles",
     "jtp_theta_series",
     "jtp_theta_logq_derivative_series",
     "bhs_terminating",
@@ -134,13 +134,13 @@ def h_product_z(z, params, ctx: QContext):
     return _maybe_scalar(out, z)
 
 
-def h_pole_strip(params) -> float:
-    """Half-width b of the strip |Im t| < b in which 1/h(cos t; params) is
-    analytic: its nearest poles sit at e^{+-it} = 1/a_j, so b = -ln max|a_j|
-    (math.inf when every parameter is 0, at most 0 when one has |a_j| >= 1).
-    """
-    reach = max((abs(a) for a in params), default=0.0)
-    return -math.log(reach) if reach > 0 else math.inf
+def h_poles(params):
+    """The poles of 1/h(cos t; params) nearest the contour, as rows
+    (centre, distance): e^{+-it} = 1/a_j puts them at Re t = +-|arg a_j| (0 for
+    a_j > 0, pi for a_j < 0) and |Im t| = -ln|a_j|.  Zero parameters have
+    none."""
+    a = np.array([p for p in np.ravel(params) if p != 0], dtype=np.complex128)
+    return np.stack((np.abs(np.angle(a)), -np.log(np.abs(a))), axis=-1)
 
 
 def h_product(theta, params, ctx: QContext):

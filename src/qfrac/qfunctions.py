@@ -213,8 +213,8 @@ def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
     zeta = zeta.reshape(len(zeta), -1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))[None, :]
     # t rides on the per-z factors so each argument takes one rounding per
-    # node: near phi = theta the factor 1 - t zeta/z cancels, and rounding
-    # that varies from node to node there is noise adaptive quadrature chases
+    # node: near phi = theta the factor 1 - t zeta/z cancels, and any further
+    # rounding there moves the last bits of every integral of the kernel
     tz, t_z, inv = t * z, t / z, 1.0 / zeta
     args = np.stack((zeta * tz, inv * tz, zeta * t_z, inv * t_z))
     return qpoch_infinite(t * t, ctx) / np.prod(qpoch_infinite(args, ctx), axis=0)

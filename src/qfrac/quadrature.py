@@ -1,5 +1,5 @@
-"""Quadrature on [0, pi]: a periodic trapezoid rule, a sinh-mapped
-Gauss-Legendre rule and adaptive Gauss-Kronrod.
+"""Quadrature on [0, pi]: a periodic trapezoid rule and Gauss-Legendre,
+plain or sinh-mapped at stated singularities.
 
 Integrands that are even, 2pi-periodic and analytic in the strip
 |Im phi| < b (every Poisson-kernel integral) may state b.  When the rule size
@@ -8,25 +8,23 @@ nodes pi j / M, whose error falls like e^{-2bM} (Trefethen & Weideman,
 SIAM Rev. 56 (2014) 385-458).  M doubles from 16, each step evaluating only
 the new odd nodes, until two successive rules agree.
 
-Integrands that peak may state their peaks too: per component a centre and
-the distance of its poles from the contour (the Poisson kernel as t -> 1).
-When b is too narrow for the trapezoid rule and the rest of the integrand
-leaves room, [0, pi] is split at each centre and each piece gets
+Such integrands also state where their nearest singularities sit: poles
+that every component shares (the 1/h factors of an operand), each a centre
+on [0, pi] and a distance from the contour, and per component a peak (the
+Poisson kernel as t -> 1).  When b is too narrow for the trapezoid rule,
+[0, pi] is split at those centres, each gap is halved, and each piece gets
 Gauss-Legendre under the sinh map of Johnston & Elliott (IJNME 62 (2005)
-564-578), which clusters the nodes at the peak on the scale of the pole
-distance; every component has nodes of its own, and M doubles from 16 until
-two successive rules agree.
+564-578) toward its own centre, which clusters the nodes there on the scale
+of the distance.  The nodes are shared by every component when the poles
+alone leave room, and per component otherwise.  An integrand that states
+nothing gets Gauss-Legendre on [0, pi].  Every Gauss-Legendre rule doubles
+M from 16 until two successive rules agree.
 
-Every other integrand, and every strip too narrow for either cap, gets
-adaptive refinement: a 15-point Kronrod rule with the embedded 7-point Gauss
-rule is applied per panel; panels whose |K15 - G7| exceeds their share of the
-error budget are bisected, leftmost-first, so the panel ordering (and
-therefore the floating point result) is identical on every run with the same
-context.
-
-All three rules share one convergence test: every component's error estimate
+All rules share one convergence test: every component's error estimate
 is at most quad_rel_tol * max(|value|, L1 mass), the mass being the integral
 of |f| (an integral that cancels to 0 is judged against what it cancels).
+Node sets, block sizes and summation order depend only on the stated
+singularities and the context, so results are bit-stable.
 
 Integrands may be vector valued: f(nodes) may return shape (m,) or (m, B)
 for B simultaneous integrals (one rule, driven by the worst component).
@@ -37,7 +35,6 @@ quadrature.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import threading
 from dataclasses import dataclass
@@ -48,30 +45,6 @@ from .context import QContext
 from .errors import NonConvergent
 
 __all__ = ["QuadResult", "integrate_theta", "converged_value", "eval_counter"]
-
-# QUADPACK dqk15 abscissae/weights (Kronrod 15 with embedded Gauss 7).
-_XGK = np.array([
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
-])
-_WGK = np.array([
-    0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-])
-_WG = np.array([
-    0.1294849661688697, 0.2797053914892767,
-    0.3818300505051189, 0.4179591836734694,
-])
-
-# full 15-node layout: +-xgk[0..6], 0; Gauss nodes are the odd Kronrod indices
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_WK = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_WGFULL = np.zeros(15)
-_WGFULL[1:7:2] = _WG[:3]
-_WGFULL[7] = _WG[3]
-_WGFULL[9:15:2] = _WG[2::-1]
 
 _FLOOR_SCALE = 1e-300
 
@@ -91,11 +64,11 @@ class QuadResult:
 
     err_ratio is the worst component's error estimate over its allowance
     quad_rel_tol * max(|value|, L1 mass); converged means err_ratio <= 1 and
-    the rule stopped on that test, not on a depth or size cap.  err_est is
-    the largest absolute estimate.  value is complex for scalar integrands,
-    an ndarray for vector ones.  evals counts the nodes f was called on; the
-    sinh-mapped rule gives every component nodes of its own, and each of
-    those counts once.
+    the rule stopped on that test, not on a size cap.  err_est is the
+    largest absolute estimate.  value is complex for scalar integrands, an
+    ndarray for vector ones.  evals counts the nodes f was called on; the
+    sinh-mapped rule per component gives every component nodes of its own,
+    and each of those counts once.
     """
 
     value: object
@@ -116,104 +89,6 @@ def converged_value(res: QuadResult, what: str):
     return res.value
 
 
-def _panel(f, lo, hi):
-    """One GK15 application; returns (kronrod_vec, |K-G| per component,
-    L1 magnitude per component, nodes used).  The L1 magnitude sets the
-    rounding floor below which an error estimate is pure noise."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _NODES
-    fx = np.asarray(f(x), dtype=np.complex128)
-    eval_counter.n += x.size
-    if fx.ndim == 1:
-        k15 = half * (_WK @ fx)
-        g7 = half * (_WGFULL @ fx)
-        l1 = half * (_WK @ np.abs(fx))
-    else:
-        k15 = half * np.tensordot(_WK, fx, axes=(0, 0))
-        g7 = half * np.tensordot(_WGFULL, fx, axes=(0, 0))
-        l1 = half * np.tensordot(_WK, np.abs(fx), axes=(0, 0))
-    err = np.abs(np.atleast_1d(k15 - g7))
-    return k15, err, np.atleast_1d(l1), x.size
-
-
-_MAX_PANELS = 20000
-
-
-def _quad_vec(f, ctx: QContext, n_initial=4):
-    """Global adaptive refinement: always bisect the panel with the largest
-    |K15 - G7| relative to its component's scale, until every component's
-    accumulated estimate meets its own tolerance.  Components are budgeted
-    individually (their magnitudes can differ by many orders inside one
-    batch).  The pop order is a deterministic function of the computed
-    errors, and the final accumulation runs over panels sorted by position,
-    so results are bit-stable and independent of how callers batch their
-    components."""
-    edges = np.pi * np.arange(n_initial + 1) / n_initial
-    alive = {}  # lo -> (hi, value, err_vec, depth)
-    coarse = None
-    mass = None  # per-component L1 magnitude; budgets are honest against it
-    evals = 0
-    panels0 = []
-    for i in range(n_initial):
-        val, err, l1, n = _panel(f, edges[i], edges[i + 1])
-        evals += n
-        coarse = val if coarse is None else coarse + val
-        mass = l1 if mass is None else mass + l1
-        alive[float(edges[i])] = (float(edges[i + 1]), val, err, 0)
-        panels0.append(float(edges[i]))
-
-    scale = np.maximum(np.maximum(np.abs(np.atleast_1d(coarse)), mass), _FLOOR_SCALE)
-    tol_vec = 0.5 * ctx.quad_rel_tol * scale
-    # below ~100 eps relative to the integrand's own mass an |K-G| estimate
-    # is rounding noise; such panels cannot be improved by splitting
-    noise_floor = 100.0 * np.finfo(float).eps * scale
-    err_total = np.zeros_like(scale)
-    for rec in alive.values():
-        err_total = err_total + rec[2]
-
-    def priority(err_vec):
-        return float(np.max(err_vec / scale))
-
-    heap = []
-    for plo in panels0:
-        heapq.heappush(heap, (-priority(alive[plo][2]), plo))
-
-    frozen_bad = False
-    while heap and bool(np.any(err_total > tol_vec)) and len(alive) < _MAX_PANELS:
-        neg_pri, plo = heapq.heappop(heap)
-        rec = alive.get(plo)
-        if rec is None or priority(rec[2]) != -neg_pri:
-            continue  # stale heap entry
-        phi, val, err, depth = rec
-        if depth >= ctx.quad_max_depth:
-            frozen_bad = True  # cannot be improved further
-            continue
-        if bool(np.all(err <= noise_floor)):
-            continue  # estimate is rounding-level; splitting cannot help
-        mid = 0.5 * (plo + phi)
-        lv, lerr, _, n1 = _panel(f, plo, mid)
-        rv, rerr, _, n2 = _panel(f, mid, phi)
-        evals += n1 + n2
-        err_total = err_total + lerr + rerr - err
-        alive[plo] = (mid, lv, lerr, depth + 1)
-        alive[mid] = (phi, rv, rerr, depth + 1)
-        heapq.heappush(heap, (-priority(lerr), plo))
-        heapq.heappush(heap, (-priority(rerr), mid))
-
-    total = np.zeros_like(np.atleast_1d(coarse))
-    err_total = np.zeros_like(scale)
-    for plo in sorted(alive):
-        _, val, err, _ = alive[plo]
-        total = total + np.atleast_1d(val)
-        err_total = err_total + err
-
-    value = total if total.size > 1 else total[0]
-    ratio = _err_ratio(err_total, total, mass, ctx)
-    return QuadResult(value, float(np.max(err_total)), evals,
-                      ratio <= 1.0 and not frozen_bad, ratio)
-
-
 def _err_ratio(err, value, mass, ctx: QContext) -> float:
     """Worst err / (quad_rel_tol * max(|value|, mass)) over the components."""
     scale = np.maximum(np.maximum(np.abs(value), mass), _FLOOR_SCALE)
@@ -231,16 +106,19 @@ _TRAP_BLOCK = 4096
 
 def _block_sums(f, x, per_call, w=None):
     """Sums over the leading axis of w f(x) and |w f(x)|, f called on blocks
-    of per_call rows of x (w = None weighs every node 1)."""
+    of per_call rows of x (w = None weighs every node 1, and w of x's shape
+    weighs every component of f at its node), and the number of components
+    of f."""
     total = l1 = 0.0
     for i in range(0, len(x), per_call):
         fx = np.asarray(f(x[i:i + per_call]), dtype=np.complex128)
         if w is not None:
-            fx = w[i:i + per_call] * fx
+            wi = w[i:i + per_call]
+            fx = wi.reshape(wi.shape + (1,) * (fx.ndim - wi.ndim)) * fx
         total = total + fx.sum(axis=0)
         l1 = l1 + np.abs(fx).sum(axis=0)
     eval_counter.n += x.size
-    return total, l1
+    return total, l1, fx[0].size
 
 
 def _trapezoid(f, ctx: QContext) -> QuadResult:
@@ -249,16 +127,14 @@ def _trapezoid(f, ctx: QContext) -> QuadResult:
     |I_2M - I_M| meets the shared test; at the cap M = _TRAP_MAX_M it stops
     with converged=False."""
     m = _TRAP_M0
-    x = np.pi * np.arange(m + 1) / m
-    fx = np.array(f(x), dtype=np.complex128)
-    eval_counter.n += x.size
-    fx[[0, -1]] *= 0.5
-    total, l1 = fx.sum(axis=0), np.abs(fx).sum(axis=0)
-    per_call = max(1, _TRAP_BLOCK // fx[0].size)
+    w = np.ones(m + 1)
+    w[[0, -1]] = 0.5
+    total, l1, cols = _block_sums(f, np.pi * np.arange(m + 1) / m, m + 1, w)
+    per_call = max(1, _TRAP_BLOCK // cols)
     value = np.pi / m * total
     evals = m + 1
     while True:
-        new, new_l1 = _block_sums(f, np.pi * (2 * np.arange(m) + 1) / (2 * m), per_call)
+        new, new_l1, _ = _block_sums(f, np.pi * (2 * np.arange(m) + 1) / (2 * m), per_call)
         evals += m
         m *= 2
         total, l1 = total + new, l1 + new_l1
@@ -269,13 +145,16 @@ def _trapezoid(f, ctx: QContext) -> QuadResult:
             return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
 
 
-# Sinh-mapped Gauss-Legendre rule: M nodes per piece, doubling from _SINH_M0
-# to the cap _SINH_MAX_M; f is called on blocks of rows as in the trapezoid
-# rule.  The rule size is predicted from _SINH_SAMPLES points of the line
-# |Im phi| = strip.
-_SINH_M0 = 16
-_SINH_MAX_M = 4096
+# Gauss-Legendre rules: M nodes per piece, doubling from _GL_M0 to the cap
+# _GL_MAX_M; the first rule goes to f in one call, and later ones in blocks of
+# at most _TRAP_BLOCK nodes x components.  The sinh-mapped rule's size is
+# predicted from its stated singularities and from _SINH_SAMPLES points of the
+# line |Im phi| = strip above each piece; a mapped piece reaches _SINH_REACH
+# times that line's distance from its point.
+_GL_M0 = 16
+_GL_MAX_M = 4096
 _SINH_SAMPLES = 64
+_SINH_REACH = 4.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,6 +177,25 @@ def _gauss_legendre(m: int):
     return x, w
 
 
+def _gl(f, nodes, ctx: QContext) -> QuadResult:
+    """Gauss-Legendre with M doubling: nodes(s, w) maps the M-point rule on
+    [-1, 1] to the nodes and weights on [0, pi].  Converged once |I_2M - I_M|
+    meets the shared test; at the cap M = _GL_MAX_M it stops with
+    converged=False."""
+    m, prev, evals, per_call = _GL_M0, None, 0, None
+    while True:
+        x, wt = nodes(*_gauss_legendre(m))
+        value, l1, cols = _block_sums(f, x, per_call or len(x), wt)
+        per_call = max(1, _TRAP_BLOCK // cols)
+        evals += x.size
+        if prev is not None:
+            err = np.abs(value - prev)
+            ratio = _err_ratio(err, value, l1, ctx)
+            if ratio <= 1.0 or m >= _GL_MAX_M:
+                return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
+        prev, m = value, 2 * m
+
+
 def _bernstein_rho(s):
     """rho of the Bernstein ellipse through s, the foci being -1 and 1:
     Gauss-Legendre on [-1, 1] loses a factor rho^2 per node to a pole at s."""
@@ -305,94 +203,124 @@ def _bernstein_rho(s):
     return np.maximum(np.abs(s + root), np.abs(s - root))
 
 
-def _sinh_pieces(centre, width):
-    """Lengths V of the mapped pieces [0, centre] and [centre, pi]: shape
-    (2, B), phi = centre -+ width sinh(v), v in [0, V]."""
-    return np.arcsinh(np.stack((centre, np.pi - centre)) / width)
+def _sinh_pieces(centre, dist, line):
+    """[0, pi] split at the points centre (shape (n, ...), one column per
+    trailing index), each gap halved and each piece mapped toward its own
+    point: phi = anchor + sign width sinh(v), v in [0, span].  Coincident
+    points merge with the narrowest width.  A piece reaches at most
+    _SINH_REACH times line from its point; beyond that the line, not the
+    point, sets the node spacing, so the rest of the piece gets its own,
+    nearly linear map (width pi, the largest width used).  Returns (anchor,
+    sign, width, span), each of shape (n', ...), without the pieces that are
+    empty in every column."""
+    order = np.argsort(centre, axis=0, kind="stable")
+    c = np.take_along_axis(centre, order, axis=0)
+    d = np.take_along_axis(dist, order, axis=0)
+    d = np.where(c[:, None] == c[None, :], d[None, :], np.inf).min(axis=1)
+    half = 0.5 * np.diff(c, axis=0)
+    length = np.concatenate((c[:1], np.repeat(half, 2, axis=0), np.pi - c[-1:]))
+    anchor = np.repeat(c, 2, axis=0)
+    sign = np.tile([-1.0, 1.0], len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * np.ones_like(length)
+    width = np.repeat(np.minimum(d, np.pi), 2, axis=0)
+    near = np.minimum(length, _SINH_REACH * line)
+    anchor = np.concatenate((anchor, anchor + sign * near))
+    sign = np.concatenate((sign, sign))
+    width = np.concatenate((width, np.full_like(near, np.pi)))
+    span = np.arcsinh(np.concatenate((near, length - near)) / width)
+    keep = (span > 0).reshape(len(span), -1).any(axis=1)
+    return anchor[keep], sign[keep], width[keep], span[keep]
 
 
-def _sinh_m_pred(centre, width, strip, ctx: QContext) -> float:
-    """Predicted M for the sinh-mapped rule: ln(1/quad_rel_tol) / (2 ln rho)
-    at the smallest Bernstein rho, over both pieces of every component, of
-    the peak's pole (v = i pi/2) and of the line Im phi = strip, wherever
-    along it f's other poles sit."""
-    span = _sinh_pieces(centre, width)[..., None]
-    sigma = np.linspace(-1.0, 1.0, _SINH_SAMPLES)
-    x = width[:, None] * np.sinh(0.5 * span * (1.0 + sigma))
+def _sinh_nodes(pieces):
+    """nodes(s, w) for _gl: the rule on every piece of _sinh_pieces."""
+    anchor, sign, width, span = (p[:, None] for p in pieces)
+
+    def nodes(s, w):
+        shape = (1, -1) + (1,) * (anchor.ndim - 2)
+        v = 0.5 * span * (1.0 + s.reshape(shape))
+        x = anchor + sign * width * np.sinh(v)
+        wt = 0.5 * span * w.reshape(shape) * width * np.cosh(v)
+        return x.reshape((-1,) + x.shape[2:]), wt.reshape((-1,) + wt.shape[2:])
+
+    return nodes
+
+
+def _sinh_m_pred(pieces, centre, dist, line, ctx: QContext) -> float:
+    """Predicted M of the sinh-mapped rule: ln(1/quad_rel_tol) / (2 ln rho)
+    at the smallest Bernstein rho, over every piece of every column, of the
+    poles at +-centre +- i dist and their images across pi, and of the line
+    Im phi = line above each piece, wherever along it f's other singularities
+    sit.  Each pole counts at all three of its preimages under the map that
+    lie within Im v in [-3pi/2, 3pi/2]."""
+    anchor, sign, width, span = (p[:, None] for p in pieces)
+    pole = np.concatenate((centre, -centre, 2.0 * np.pi - centre))
+    pole = pole + 1j * np.minimum(np.concatenate((dist,) * 3), 1e3)
+    v = np.arcsinh(sign * (pole[None] - anchor) / width)
+    v = np.concatenate((v, 1j * np.pi - v, -1j * np.pi - v), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = _bernstein_rho(-1.0 + 1j * np.pi / span)
-        if math.isfinite(strip):
-            line = 2.0 * np.arcsinh((x + 1j * strip) / width[:, None]) / span - 1.0
-            rho = np.concatenate((rho, _bernstein_rho(line)), axis=-1)
-    rho = np.min(rho[span[..., 0] > 0], axis=-1)  # an empty piece costs nothing
-    return math.log(1.0 / ctx.quad_rel_tol) / (2.0 * math.log(float(np.min(rho))))
+        rho = _bernstein_rho(2.0 * v / span - 1.0)
+        if math.isfinite(line):
+            sigma = np.linspace(-1.0, 1.0, _SINH_SAMPLES).reshape((1, -1) + (1,) * (span.ndim - 2))
+            x = np.sinh(0.5 * span * (1.0 + sigma)) + 1j * line / width
+            rho = np.concatenate((rho, _bernstein_rho(2.0 * np.arcsinh(x) / span - 1.0)), axis=1)
+        rho = np.min(rho, axis=1)[span[:, 0] > 0]  # an empty piece costs nothing
+        return float(np.log(1.0 / ctx.quad_rel_tol) / (2.0 * np.log(np.min(rho))))
 
 
-def _sinh_gl(f, centre, width, ctx: QContext) -> QuadResult:
-    """Integral of f over [0, pi], split at each component's centre and each
-    piece mapped by phi = centre -+ width sinh(v) (Johnston & Elliott, IJNME
-    62 (2005) 564-578), which clusters the nodes at the peak on the scale of
-    its width; Gauss-Legendre in v.  Converged once |I_2M - I_M| meets the
-    shared test; at the cap M = _SINH_MAX_M it stops with converged=False."""
-    span = _sinh_pieces(centre, width)
-    sign = np.array([-1.0, 1.0])[:, None, None]
-    per_call = max(1, _TRAP_BLOCK // centre.size)
-    m, prev, evals = _SINH_M0, None, 0
-    while True:
-        s, w = _gauss_legendre(m)
-        v = 0.5 * span[:, None, :] * (1.0 + s[:, None])  # (2, m, B)
-        x = (centre + sign * width * np.sinh(v)).reshape(2 * m, -1)
-        wt = (0.5 * span[:, None, :] * w[:, None] * width * np.cosh(v)).reshape(2 * m, -1)
-        value, l1 = _block_sums(f, x, per_call, wt)
-        evals += x.size
-        if prev is not None:
-            err = np.abs(value - prev)
-            ratio = _err_ratio(err, value, l1, ctx)
-            if ratio <= 1.0 or m >= _SINH_MAX_M:
-                return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
-        prev, m = value, 2 * m
-
-
-def integrate_theta(f, ctx: QContext, strip: float | None = None,
-                    peaks=None) -> QuadResult:
+def integrate_theta(f, ctx: QContext, strip: float | None = None, peaks=None,
+                    poles=()) -> QuadResult:
     """Integral of f over [0, pi].
 
     f receives a numpy array of nodes and must return an array of matching
     leading dimension; a trailing dimension of size B makes the quadrature
     vector valued.
 
+    strip=None is the general case: Gauss-Legendre on [0, pi] with M
+    doubling from 16 to 4096; peaks and poles are read only with a strip.
+
     strip, when given, states that f is even, 2pi-periodic and analytic for
-    |Im phi| < strip (math.inf for an entire f).  The trapezoid rule's error
-    then falls like e^{-2 strip M}: it meets quad_rel_tol near
-    M_pred = ln(1 / quad_rel_tol) / (2 strip), and the doubling that shows
-    it, comparing I_M with I_{M/2}, comes near 2 to 4 M_pred.  The rule runs
-    when 4 M_pred is at most half the cap _TRAP_MAX_M, so only a strip stated
-    wider than the true one reaches the cap.
+    |Im phi| < strip apart from the singularities stated with it (math.inf
+    when there are none elsewhere).  poles, (centre, distance) pairs, are the
+    poles at +-centre +- i distance that every component shares;
+    peaks = (centre, width), two arrays of length B, states component k's own
+    poles at +-centre_k +- i width_k, and that f accepts an (m, B) node array
+    whose column k holds component k's nodes.  The narrowest of the strip,
+    the pole distances and the widths, b, sets the rule:
 
-    peaks = (centre, width), two arrays of length B, states that component k
-    of f also has poles at +-centre_k +- i width_k (strip then bounds the
-    rest), and that f accepts an (m, B) node array whose column k holds
-    component k's nodes.  The trapezoid rule then sees the strip
-    min(strip, min width).  When that is too narrow for it and every width
-    lies in (0, strip), the sinh-mapped Gauss-Legendre rule runs if 4 times
-    its predicted M (_sinh_m_pred) is at most half its cap _SINH_MAX_M, so
-    again only a width stated wider than the true one reaches the cap.
+    1. the trapezoid rule, whose error falls like e^{-2 b M}: it meets
+       quad_rel_tol near M_pred = ln(1 / quad_rel_tol) / (2 b), and the
+       doubling that shows it, comparing I_M with I_{M/2}, comes near 2 to
+       4 M_pred.  It runs when 4 M_pred is at most half its cap _TRAP_MAX_M;
+    2. else, with poles stated, Gauss-Legendre on nodes shared by every
+       component, [0, pi] split at the pole centres and each piece mapped
+       toward its pole, the peaks counting as a line at the smallest width;
+    3. else, with peaks stated, the same rule per component, split at its
+       peak and at the poles.
 
-    Every other integrand gets the adaptive rule.  No rule raises on
-    failure: a depth or size cap is reported as converged=False on the best
-    available value (see converged_value).
+    A sinh-mapped rule runs when 4 times its predicted M (_sinh_m_pred) is
+    at most half its cap _GL_MAX_M; failing both, the last one stated runs
+    to its cap.  So only a singularity stated farther off than the true one
+    reaches a cap.  No rule raises on failure: a size cap is reported as
+    converged=False on the best available value (see converged_value).
     """
     if strip is None:
-        return _quad_vec(f, ctx)
+        return _gl(f, lambda s, w: (0.5 * np.pi * (1.0 + s), 0.5 * np.pi * w), ctx)
+    pc, pd = np.asarray(poles, dtype=np.float64).reshape(-1, 2).T
+    line, rules = strip, []  # each rule: its points and the line left unanchored
     if peaks is not None:
         centre, width = (np.asarray(p, dtype=np.float64) for p in peaks)
-        near = min(strip, float(np.min(width)))
-    else:
-        near = strip
+        line = min(strip, float(np.min(width)))
+        cols = (len(pc), centre.size)
+        rules.append((np.vstack((centre, np.broadcast_to(pc[:, None], cols))),
+                      np.vstack((width, np.broadcast_to(pd[:, None], cols))), strip))
+    if pc.size:
+        rules.insert(0, (pc, pd, line))
+    near = min(line, float(np.min(pd, initial=math.inf)))
     m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * near) if near > 0 else math.inf
-    if 4.0 * m_pred <= _TRAP_MAX_M / 2:
+    if 4.0 * m_pred <= _TRAP_MAX_M / 2 or not rules:
         return _trapezoid(f, ctx)
-    if (peaks is not None and bool(np.all((width > 0) & (width < strip)))
-            and 4.0 * _sinh_m_pred(centre, width, strip, ctx) <= _SINH_MAX_M / 2):
-        return _sinh_gl(f, centre, width, ctx)
-    return _quad_vec(f, ctx)
+    for centre, dist, line in rules:
+        pieces = _sinh_pieces(centre, dist, line)
+        if 4.0 * _sinh_m_pred(pieces, centre, dist, line, ctx) <= _GL_MAX_M / 2:
+            break
+    return _gl(f, _sinh_nodes(pieces), ctx)

@@ -76,14 +76,14 @@ def test_criterion_2_k_family(suite_reports):
 
 
 def test_criterion_3_left_inverse(suite_reports):
-    """I4 at 1e-6 for a in {0.5, 1.0, 1.5} wherever the windows validate;
+    """I4 at 1e-7 for a in {0.5, 1.0, 1.5} wherever the windows validate;
     invalid windows are skipped-with-reason, and the alternate middle
     parameter never passes."""
     half = [r for r in _by_id(suite_reports, "I4") if r.case.variant == "half"]
     full = [r for r in _by_id(suite_reports, "I4") if r.case.variant == "full"]
     ran = [r for r in half if r.status != "skip"]
     assert ran
-    assert all(r.status == "pass" and r.residual.max_rel <= 1e-6 for r in ran)
+    assert all(r.status == "pass" and r.residual.max_rel <= 1e-7 for r in ran)
     for a in (0.5, 1.0, 1.5):
         assert any(r.case.params["a"] == a for r in ran), f"no valid window at a={a}"
     for r in half + full:

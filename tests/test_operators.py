@@ -12,7 +12,7 @@ from qfrac import identities as idn
 from qfrac import operators as op
 from qfrac import quadrature
 from qfrac.qcore import h_product_z, qpoch_infinite
-from qfrac.qfunctions import hermite_cq_all, poisson_kernel_z, theta_grid, weight_wH_sin
+from qfrac.qfunctions import hermite_cq_all, theta_grid
 
 GRID = theta_grid(9)
 
@@ -76,48 +76,39 @@ class TestPoissonIntegral:
                     np.exp(1j * grid), 1.0, ctx05)
                 assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
 
+    @staticmethod
+    def _reproduced(coeffs, t, z, ctx):
+        # the integral of w_H g P_t(., z) for g = sum_n c_n H_n(cos phi):
+        # sum_n c_n t^n H_n((z + 1/z)/2)
+        hn = hermite_cq_all(len(coeffs) - 1, (z + 1.0 / z) / 2.0, ctx)
+        return sum(c * t**n * hn[n] for n, c in enumerate(coeffs))
+
     def test_peaked_t_takes_sinh_rule(self, ctx05):
         # |t| = 0.9995 predicts M ~ 25,000 trapezoid nodes: the sinh-mapped
-        # rule runs (t < 0 moves the peaks to pi - theta) and matches the
-        # adaptive rule with fewer nodes
+        # rule runs (t < 0 moves the peaks to pi - theta) and reproduces
+        # cos^2 = (H_2 + 1 - q)/4
         z = np.exp(1j * np.array([0.7, 2.1]))
-
-        def g(phis):
-            return np.cos(phis) ** 2
-
+        coeffs = [(1.0 - ctx05.q) / 4.0, 0.0, 0.25]
         for t in (0.9995, -0.9995):
-            res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
-
-            def igr(phis):
-                return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
-                    np.exp(1j * phis), z, t, ctx05)
-
-            ref = quadrature.integrate_theta(igr, ctx05)
-            assert res.converged and ref.converged
-            assert res.evals < ref.evals
-            assert np.max(np.abs(res.value - ref.value)) < 1e-12
+            res = op.poisson_integral(t, lambda phis: np.cos(phis) ** 2, math.inf, z, 1.0,
+                                      ctx05)
+            assert res.converged and res.evals < 2000 * z.size
+            assert np.max(np.abs(res.value - self._reproduced(coeffs, t, z, ctx05))) < 1e-12
 
     def test_sinh_rule_at_divided_difference_points(self, ctx05):
         # z at +-1, at D_q's Richardson points 1 +- 1e-6 and at |z| = q^{+-1/2}
         # with t just inside that annulus: every kernel peaked, every value
-        # the adaptive rule's
+        # the reproducing property's
         rq = math.sqrt(ctx05.q)
         w = np.exp(0.9j)
+        coeffs = [(1.0 - ctx05.q) / 4.0, 0.25, 0.25]
         for t, z in ((0.999, np.array([1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -1.0 - 1e-6])),
                      (0.999 * rq, np.array([rq * w, w / rq]))):
-
-            def g(phis):
-                return np.cos(phis) ** 2 + 0.5 * np.cos(phis)
-
-            res = op.poisson_integral(t, g, math.inf, z, 1.0, ctx05)
-
-            def igr(phis):
-                return (weight_wH_sin(phis, ctx05) * g(phis))[:, None] * poisson_kernel_z(
-                    np.exp(1j * phis), z, t, ctx05)
-
-            ref = quadrature.integrate_theta(igr, ctx05)
-            assert res.converged and res.evals < ref.evals
-            assert np.max(np.abs(res.value - ref.value) / np.abs(ref.value)) < 1e-10
+            res = op.poisson_integral(
+                t, lambda phis: np.cos(phis) ** 2 + 0.5 * np.cos(phis), math.inf, z, 1.0, ctx05)
+            want = self._reproduced(coeffs, t, z, ctx05)
+            assert res.converged
+            assert np.max(np.abs(res.value - want) / np.abs(want)) < 1e-10
 
     @pytest.mark.parametrize("q", (0.3, 0.7))
     @pytest.mark.parametrize("a", (1e-3, 0.01))
@@ -130,13 +121,13 @@ class TestPoissonIntegral:
             want = op.apply_K_eigen(p, n, grid, ctx)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
-    def test_operand_pole_near_contour_stays_adaptive(self, monkeypatch):
+    def test_operand_pole_near_contour_takes_sinh_rule(self, monkeypatch):
         # I2's rung a = 0.01 at c = 1.4, q = 0.7: 1/h(.; -1/c, -cq) has poles
-        # 0.020 from the contour, where the sinh map thins its nodes, and the
-        # sinh rule's predicted M (about 2,300) is above its bound of 512;
-        # at c = 1.2 (poles 0.17 away, predicted M about 260) it runs
+        # 0.020 from the contour at phi = pi; split there as well as at the
+        # kernel's peak, the sinh rule converges, as it does at c = 1.2
+        # (poles 0.17 away)
         rules = []
-        for name in ("_trapezoid", "_sinh_gl", "_quad_vec"):
+        for name in ("_trapezoid", "_sinh_nodes"):
             def spy(*args, _orig=getattr(quadrature, name), _name=name):
                 rules.append(_name)
                 return _orig(*args)
@@ -145,8 +136,8 @@ class TestPoissonIntegral:
         ctx = QContext(q=0.7)
         f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
         for c in (1.4, 1.2):
-            op.apply_K(op.KParams(0.01, c), f, ctx).on_theta(np.array([0.7]))
-        assert rules == ["_quad_vec", "_sinh_gl"]
+            op.apply_K(op.KParams(0.01, c), f, ctx).on_theta(theta_grid(17))
+        assert rules == ["_sinh_nodes", "_sinh_nodes"]
 
     def test_operand_poles_near_contour(self):
         # 1/h(.; 0.999, 0.3) in T and 1/h(.; -1/c, -cq) at cq = 0.9975 in K put
@@ -161,12 +152,12 @@ class TestPoissonIntegral:
             assert rep.status == "pass", rep.residual.notes
 
     def test_unconverged_integral_fails_the_case(self):
-        # the operand's poles 0.020 from the contour keep I2's small-a rungs
-        # at c = 1.4, q = 0.7 on the adaptive rule, which a depth cap of 1 stops
-        ctx = QContext(q=0.7, quad_max_depth=1)
+        # a tolerance below rounding: no rule can meet it, so the one chosen
+        # runs to its size cap
+        ctx = QContext(q=0.7, quad_rel_tol=1e-17)
         f = op.analytic_from_x(lambda x: 2.0 * x * x - 1.0)
         with pytest.raises(NonConvergent, match="did not converge"):
-            op.apply_K(op.KParams(0.01, 1.4), f, ctx).on_theta(GRID)
+            op.apply_K(op.KParams(0.01, 1.4), f, ctx).on_theta(theta_grid(5))
         rep = idn.run_case(idn.IdentityCase("I2", {"q": 0.7, "c": 1.4, "grid_points": 5}),
                             ctx)
         assert rep.status == "fail"

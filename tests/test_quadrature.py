@@ -7,9 +7,18 @@ import pytest
 
 from qfrac.context import QContext
 from qfrac.errors import NonConvergent
-from qfrac.qcore import h_product_z, qpoch_infinite
+from qfrac.qcore import h_poles, h_product_z, qpoch_infinite
 from qfrac.qfunctions import poisson_kernel_z, theta_grid, weight_wH_sin
 from qfrac.quadrature import converged_value, integrate_theta
+
+
+def _lorentz_pair(phis, centre, beta):
+    # even and 2pi-periodic, poles at +-centre +- i beta
+    # cosh b - cos x = 2 sinh^2(b/2) + 2 sin^2(x/2), without cancellation
+    def lorentz(x):
+        return 0.5 / (np.sinh(0.5 * beta) ** 2 + np.sin(0.5 * x) ** 2)
+
+    return lorentz(phis - centre) + lorentz(phis + centre)
 
 
 class TestIntegrateTheta:
@@ -56,14 +65,18 @@ class TestIntegrateTheta:
         assert r.evals < 10000
 
     def test_peaked_integrand(self, ctx05):
-        # Lorentzian spike; reference from a tighter run
-        def igr(phis):
-            return 1.0 / (1e-4 + (phis - 1.234567) ** 2)
+        # periodic Lorentzian spike, its pole stated; reference from a
+        # tighter run, and the closed form 2 pi / sinh(beta)
+        centre, beta = 1.234567, 1e-2
 
-        got = complex(integrate_theta(igr, ctx05).value)
+        def igr(phis):
+            return _lorentz_pair(phis, centre, beta)
+
+        got = complex(integrate_theta(igr, ctx05, strip=math.inf, poles=[(centre, beta)]).value)
         tight = QContext(q=0.5, quad_rel_tol=1e-13)
-        want = complex(integrate_theta(igr, tight).value)
+        want = complex(integrate_theta(igr, tight, strip=math.inf, poles=[(centre, beta)]).value)
         assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(2.0 * np.pi / np.sinh(beta), rel=1e-9)
 
     def test_determinism_bitwise(self, ctx05):
         def igr(phis):
@@ -87,26 +100,30 @@ class TestIntegrateTheta:
         assert v[1] == pytest.approx(1e6 * 4.0 / 3.0, rel=1e-12)
         assert v[2] == pytest.approx(1e-5 * np.pi / 2.0, rel=1e-10)
 
-    def test_max_depth_reports_not_converged(self):
-        ctx = QContext(q=0.5, quad_max_depth=2, quad_rel_tol=1e-14)
+    def test_size_cap_reports_not_converged(self):
+        # a pole 1e-3 from the axis, not stated: plain Gauss-Legendre would
+        # need M ~ 10^4 and stops at its cap
+        ctx = QContext(q=0.5, quad_rel_tol=1e-14)
 
         def igr(phis):
             return 1.0 / (1e-6 + (phis - 1.0) ** 2)
 
         r = integrate_theta(igr, ctx)
-        assert not r.converged
+        assert not r.converged and r.err_ratio > 1.0
 
     def test_refinement_monotonicity(self):
-        def igr(phis):
-            return 1.0 / (0.002 + (phis - 1.1) ** 2)
-
-        vals = []
-        for tol in (1e-5, 1e-7, 1e-9, 1e-12):
-            ctx = QContext(q=0.5, quad_rel_tol=tol)
-            vals.append(complex(integrate_theta(igr, ctx).value).real)
-        ref = vals[-1]
-        diffs = [abs(v - ref) for v in vals[:-1]]
-        assert all(d1 >= d2 or d1 < 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
+        # the pole stated: the trapezoid rule at the wider beta, the
+        # sinh-mapped rule at the narrower
+        for beta in (math.sqrt(0.002), 1e-3):
+            vals = []
+            for tol in (1e-5, 1e-7, 1e-9, 1e-12):
+                ctx = QContext(q=0.5, quad_rel_tol=tol)
+                res = integrate_theta(lambda phis: _lorentz_pair(phis, 1.1, beta), ctx,
+                                      strip=math.inf, poles=[(1.1, beta)])
+                vals.append(complex(res.value).real)
+            ref = vals[-1]
+            diffs = [abs(v - ref) for v in vals[:-1]]
+            assert all(d1 >= d2 or d1 < 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
 
 
 class TestTrapezoid:
@@ -148,19 +165,10 @@ class TestTrapezoid:
 
 
 class TestSinhGL:
-    @staticmethod
-    def _pair(phis, centre, beta):
-        # even and 2pi-periodic, poles at +-centre +- i beta
-        # cosh b - cos x = 2 sinh^2(b/2) + 2 sin^2(x/2), without cancellation
-        def lorentz(x):
-            return 0.5 / (np.sinh(0.5 * beta) ** 2 + np.sin(0.5 * x) ** 2)
-
-        return lorentz(phis - centre) + lorentz(phis + centre)
-
     def test_per_column_peaks(self, ctx05):
         # one column per peak; the stated widths are the true ones
         centre, beta = np.array([0.0, 1.3, np.pi]), np.array([1e-3, 1e-4, 2e-3])
-        r = integrate_theta(lambda phis: self._pair(phis, centre, beta), ctx05,
+        r = integrate_theta(lambda phis: _lorentz_pair(phis, centre, beta), ctx05,
                             strip=math.inf, peaks=(centre, beta))
         # int_0^pi 1/(cosh b - cos(phi -+ c)) summed = int_0^2pi = 2 pi / sinh b
         assert r.converged and r.evals < 2000 * centre.size
@@ -170,8 +178,39 @@ class TestSinhGL:
         # true width 1e-9, stated 1e-2: the map clusters too loosely and the
         # rule stops at its cap
         centre = np.array([1.1])
-        r = integrate_theta(lambda phis: self._pair(phis, centre, 1e-9), ctx05,
+        r = integrate_theta(lambda phis: _lorentz_pair(phis, centre, 1e-9), ctx05,
                             strip=math.inf, peaks=(centre, np.array([1e-2])))
         assert not r.converged and r.err_ratio > 1.0
         with pytest.raises(NonConvergent, match="did not converge"):
             converged_value(r, "peaked pair")
+
+    @pytest.mark.parametrize("d", (1e-2, 1e-4))
+    def test_shared_pole_at_pi_and_at_0(self, ctx05, d):
+        # 1/(cosh d + cos phi) has its poles at pi +- i d, 1/(cosh d - cos phi)
+        # at +-i d; both integrate to pi / sinh d over [0, pi]
+        sh2 = np.sinh(0.5 * d) ** 2
+        for centre, igr in ((np.pi, lambda phis: 0.5 / (sh2 + np.cos(0.5 * phis) ** 2)),
+                            (0.0, lambda phis: 0.5 / (sh2 + np.sin(0.5 * phis) ** 2))):
+            r = integrate_theta(igr, ctx05, strip=math.inf, poles=[(centre, d)])
+            assert r.converged and np.ndim(r.value) == 0
+            assert abs(complex(r.value) * np.sinh(d) / np.pi - 1.0) < 1e-11
+
+    def test_bilinear_kernel_two_peaks_two_poles(self, ctx05):
+        # the bilinear kernels' integrand: two Poisson kernels at s = q^{0.4}
+        # peaked at phi1, phi2, over a weight with poles 1.1e-3 from the
+        # contour at 0 and pi, too near for the trapezoid rule to run on its
+        # own; the trapezoid rule on 2^16 nodes is the reference
+        s, t3, t4 = ctx05.q ** 0.4, 0.9989, -0.9989
+        zpair = np.exp(1j * np.array([1.0, 1.8]))
+
+        def igr(ths):
+            zeta = np.exp(1j * ths)
+            return weight_wH_sin(ths, ctx05) / h_product_z(zeta, [t3, t4], ctx05) * np.prod(
+                poisson_kernel_z(zeta, zpair, s, ctx05), axis=1)
+
+        r = integrate_theta(igr, ctx05, strip=math.inf, poles=h_poles([*(s * zpair), t3, t4]))
+        m = 2**16
+        fx = igr(np.pi * np.arange(m + 1) / m)
+        want = np.pi / m * (fx.sum() - 0.5 * (fx[0] + fx[-1]))
+        assert r.converged and r.evals < 4000
+        assert abs(complex(r.value) / want - 1.0) < 1e-11

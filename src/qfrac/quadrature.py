@@ -248,10 +248,10 @@ def _sinh_nodes(pieces):
 def _sinh_m_pred(pieces, centre, dist, line, ctx: QContext) -> float:
     """Predicted M of the sinh-mapped rule: ln(1/quad_rel_tol) / (2 ln rho)
     at the smallest Bernstein rho, over every piece of every column, of the
-    poles at +-centre +- i dist and their images across pi, and of the line
-    Im phi = line above each piece, wherever along it f's other singularities
-    sit.  Each pole counts at all three of its preimages under the map that
-    lie within Im v in [-3pi/2, 3pi/2]."""
+    poles at +-centre +- i dist and their images across 0 and pi, and of
+    the line Im phi = line above each piece, wherever along it f's other
+    singularities sit.  Each pole counts at all three of its preimages under
+    the map that lie within Im v in [-3pi/2, 3pi/2]."""
     anchor, sign, width, span = (p[:, None] for p in pieces)
     pole = np.concatenate((centre, -centre, 2.0 * np.pi - centre))
     pole = pole + 1j * np.minimum(np.concatenate((dist,) * 3), 1e3)

@@ -107,7 +107,7 @@ class TestPoissonIntegral:
             res = op.poisson_integral(
                 t, lambda phis: np.cos(phis) ** 2 + 0.5 * np.cos(phis), math.inf, z, 1.0, ctx05)
             want = self._reproduced(coeffs, t, z, ctx05)
-            assert res.converged
+            assert res.converged and res.evals < 2000 * z.size
             assert np.max(np.abs(res.value - want) / np.abs(want)) < 1e-10
 
     @pytest.mark.parametrize("q", (0.3, 0.7))

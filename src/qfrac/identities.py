@@ -23,7 +23,7 @@ import numpy as np
 
 from . import operators as op
 from .context import QContext
-from .errors import CaseInvalid, ParamDomain, QFracError
+from .errors import CaseInvalid, NonConvergent, ParamDomain, QFracError
 from .qcore import (
     bhs_terminating,
     h_poles,
@@ -36,6 +36,7 @@ from .qfunctions import (
     AWParams,
     aw_norm_Mn,
     aw_polynomial,
+    aw_polynomial_all,
     aw_polynomial_x,
     aw_weight,
     hermite_cq_all,
@@ -167,12 +168,10 @@ def _t_op(a, b, r, ctx: QContext):
     return lambda f: op.apply_T(op.TParams(a, b, r), f, ctx)
 
 
-def _poch_ratio(a, beta, ctx: QContext) -> complex:
-    """(q^{a+beta+1}; q)_oo / (q^{beta+1}; q)_oo."""
+def _poch_ratio(a, beta, ctx: QContext):
+    """(q^{a+beta+1}; q)_oo / (q^{beta+1}; q)_oo, broadcast over beta."""
     q = ctx.q
-    return complex(qpoch_infinite(q ** (a + beta + 1.0), ctx)) / complex(
-        qpoch_infinite(q ** (beta + 1.0), ctx)
-    )
+    return qpoch_infinite(q ** (a + beta + 1.0), ctx) / qpoch_infinite(q ** (beta + 1.0), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +318,18 @@ def _run_I3(params, variant, ctx, tol):
                         _test_fns(op.eigen_k_basis(c, 1, ctx)), params, tol)
 
 
-def _eigen_actions(apply, basis, eigen, ns, params, tol, notes=""):
+def _eigen_actions(apply, basis, eigen, ns, params, tol, notes="", shared_scale=False):
     """An eigen-action apply(f_n) == eigen(n, f_n, grid), f_n = basis(n), for
-    each n in ns."""
+    each n in ns, judged on each part's own scale or, with shared_scale (for
+    eigenvalues r^n that fall to rounding level), on the largest of them."""
     grid = _grid(params)
-    parts = []
+    sides = []
     for n in ns:
         f = basis(n)
-        lhs = apply(f).on_theta(grid)
-        parts.append(_resid(lhs, eigen(n, f, grid), tol, notes=f"n={n}"))
-    return _merge(parts, tol, notes=notes)
+        sides.append((apply(f).on_theta(grid), eigen(n, f, grid)))
+    if shared_scale:
+        return _resid(*map(np.concatenate, zip(*sides)), tol, notes)
+    return _merge([_resid(*s, tol, notes=f"n={n}") for n, s in zip(ns, sides)], tol, notes=notes)
 
 
 def _run_I4(params, variant, ctx, tol):
@@ -496,8 +497,8 @@ def _shift6(a, c, a3, a4, q) -> AWParams:
                     q ** (-a / 2.0) * a3, q ** (-a / 2.0) * a4)
 
 
-def _c6(a, n, ctx: QContext) -> complex:
-    """C_n = (q^{a+n+1}; q)_oo / (q^{n+1}; q)_oo q^{an/2}."""
+def _c6(a, n, ctx: QContext):
+    """C_n = (q^{a+n+1}; q)_oo / (q^{n+1}; q)_oo q^{an/2}, broadcast over n."""
     return _poch_ratio(a, n, ctx) * ctx.q ** (a * n / 2.0)
 
 
@@ -577,14 +578,13 @@ def _run_I15(params, variant, ctx, tol):
 
 
 def _bilinear_constants(n, t_shift: AWParams, t_base: AWParams, cn, ctx: QContext):
-    """(M_n(t_shift), M_n(t_base), c_n) as reals: the constants of a bilinear
-    formula."""
-    return (float(np.real(aw_norm_Mn(n, t_shift, ctx))),
-            float(np.real(aw_norm_Mn(n, t_base, ctx))), float(np.real(cn)))
+    """(M_n(t_shift), M_n(t_base), c_n) over n as reals: a bilinear formula's constants."""
+    return (np.real(aw_norm_Mn(n, t_shift, ctx)), np.real(aw_norm_Mn(n, t_base, ctx)),
+            np.real(cn))
 
 
-def section6_constants(n: int, a: float, c: float, a3, a4, ctx: QContext):
-    """(A_n, B_n, C_n) of the section-6 bilinear formula."""
+def section6_constants(n, a: float, c: float, a3, a4, ctx: QContext):
+    """(A_n, B_n, C_n) of the section-6 bilinear formula, broadcast over n."""
     return _bilinear_constants(n, _shift6(a, c, a3, a4, ctx.q),
                                AWParams(-1.0 / c, -c * ctx.q, a3, a4), _c6(a, n, ctx), ctx)
 
@@ -646,23 +646,25 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
 
 def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
                      ctx: QContext, tol: float):
-    """sum_n A_n (C_n / B_n)^2 p_n(phi1; t) p_n(phi2; t) with (A_n, B_n, C_n) =
-    constants(n), truncated when the term falls below tol with two safety
-    terms; returns (value, n_terms)."""
-    total = 0.0
-    safety = 0
-    for n in range(ctx.max_terms):
+    """sum_n A_n (C_n / B_n)^2 p_n(phi1; t) p_n(phi2; t), (A_n, B_n, C_n) =
+    constants(n) for an array of n, stopped after three consecutive terms below
+    tol |running total| once n > 4, in blocks of 32, 64, ... terms up to
+    ctx.max_terms (NonConvergent past it); returns (value, n_terms)."""
+    size = 32
+    while True:
+        size = min(size, ctx.max_terms)
+        n = np.arange(size)
         An, Bn, Cn = constants(n)
-        term = An * (Cn / Bn) ** 2 * complex(aw_polynomial(n, phi1, t, ctx)) \
-            * complex(aw_polynomial(n, phi2, t, ctx))
-        total += term
-        if n > 4 and abs(term) < tol * max(abs(total), _FLOOR):
-            safety += 1
-            if safety > 2:
-                return total, n + 1
-        else:
-            safety = 0
-    return total, ctx.max_terms
+        p = aw_polynomial_all(size - 1, np.cos([phi1, phi2]), t, ctx)
+        terms = An * (Cn / Bn) ** 2 * p[:, 0] * p[:, 1]
+        totals = np.cumsum(terms)
+        small = (n > 4) & (np.abs(terms) < tol * np.maximum(np.abs(totals), _FLOOR))
+        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        if stops.size:
+            return complex(totals[stops[0] + 2]), int(stops[0]) + 3
+        if size == ctx.max_terms:
+            raise NonConvergent("bilinear series: stopping rule not met within max_terms")
+        size *= 2
 
 
 def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
@@ -724,15 +726,11 @@ def _run_I16(params, variant, ctx, tol):
                               poles=h_poles([tsh.t3, tsh.t4]))
         return complex(converged_value(res, f"triple integral ({m},{n})"))
 
-    diag_notes = []
-    for n in (0, 1):
-        An, Bn, Cn = section6_constants(n, a, c, a3, a4, ctx)
-        got = triple(n, n)
-        parts.append(_resid([got], [An * Cn**2], tol, notes=f"int2 diag n={n}"))
-        diag_notes.append(abs(An * Cn**2))
-    off = abs(triple(0, 1))
-    off_rel = off / max(diag_notes)
-    parts.append(Residual(off, off_rel, 1, max(diag_notes), off_rel < 1e-7,
+    An, _, Cn = section6_constants(np.arange(2), a, c, a3, a4, ctx)
+    diag = An * Cn**2
+    parts += [_resid([triple(n, n)], [diag[n]], tol, notes=f"int2 diag n={n}") for n in (0, 1)]
+    off, scale = abs(triple(0, 1)), float(np.max(np.abs(diag)))
+    parts.append(Residual(off, off / scale, 1, scale, off / scale < 1e-7,
                           notes="int2 offdiag (0,1)"))
     return _merge(parts, tol)
 
@@ -770,7 +768,7 @@ def _run_I19(params, variant, ctx, tol):
     return _eigen_actions(_t_op(tp.a, tp.b, tp.r, ctx),
                           lambda n: op.eigen_t_basis(tp.a, tp.b, n, ctx),
                           lambda n, f, grid: tp.r**n * np.asarray(f.on_theta(grid)),
-                          range(nmax + 1), params, tol, notes=f"n<={nmax}")
+                          range(nmax + 1), params, tol, notes=f"n<={nmax}", shared_scale=True)
 
 
 def _bq_forms(a, b, r, n, ref, params, ctx, tol):
@@ -801,11 +799,10 @@ def _shift7(t: AWParams, r) -> AWParams:
     return AWParams(t.t1 * r, t.t2 * r, t.t3 / r, t.t4 / r)
 
 
-def _c7(t: AWParams, r, n, ctx: QContext) -> complex:
-    """c_n = (r^2 t1 t2 q^n; q)_oo / (t1 t2 q^n; q)_oo r^n."""
-    return complex(qpoch_infinite(r * r * t.t1 * t.t2 * ctx.q**n, ctx)) / complex(
-        qpoch_infinite(t.t1 * t.t2 * ctx.q**n, ctx)
-    ) * r**n
+def _c7(t: AWParams, r, n, ctx: QContext):
+    """c_n = (r^2 t1 t2 q^n; q)_oo / (t1 t2 q^n; q)_oo r^n, broadcast over n."""
+    tq = t.t1 * t.t2 * ctx.q**n
+    return qpoch_infinite(r * r * tq, ctx) / qpoch_infinite(tq, ctx) * r**n
 
 
 def _run_I21(params, variant, ctx, tol):
@@ -826,8 +823,8 @@ def _run_I21(params, variant, ctx, tol):
     return _resid(lhs, rhs, tol)
 
 
-def section7_constants(n: int, t: AWParams, r: float, ctx: QContext):
-    """(a_n, b_n, c_n) of the section-7 bilinear formula."""
+def section7_constants(n, t: AWParams, r: float, ctx: QContext):
+    """(a_n, b_n, c_n) of the section-7 bilinear formula, broadcast over n."""
     return _bilinear_constants(n, _shift7(t, r), t, _c7(t, r, n, ctx), ctx)
 
 

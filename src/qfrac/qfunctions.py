@@ -39,6 +39,7 @@ __all__ = [
     "poisson_kernel",
     "poisson_kernel_z",
     "aw_polynomial",
+    "aw_polynomial_all",
     "aw_polynomial_x",
     "aw_polynomial_series",
     "aw_weight",
@@ -220,40 +221,36 @@ def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
     return qpoch_infinite(t * t, ctx) / np.prod(qpoch_infinite(args, ctx), axis=0)
 
 
-def _aw_recurrence_coeffs(n: int, t: AWParams, ctx: QContext):
-    a, b, c, d = t.as_tuple()
-    q = ctx.q
-    T = a * b * c * d
-    qn = q**n
-    An = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn)
-          * (1 - T * qn / q)) / (a * (1 - T * qn * qn / q) * (1 - T * qn * qn))
-    Cn = (a * (1 - qn) * (1 - b * c * qn / q) * (1 - b * d * qn / q)
-          * (1 - c * d * qn / q)) / ((1 - T * qn * qn / (q * q)) * (1 - T * qn * qn / q))
-    return An, Cn
+def aw_polynomial_all(n: int, x, t: AWParams, ctx: QContext) -> np.ndarray:
+    """p_0..p_n at arbitrary (possibly complex) x in one pass of the three-term
+    recurrence; shape (n+1,) + shape(x).
+
+    p_n is symmetric in t1..t4, so the parameter of largest modulus leads the
+    recurrence and its scale, the running product (t1 t2, t1 t3, t1 t4; q)_m t1^{-m}
+    (a small lead would cancel against its own 1/t1 in every step and its
+    t1^{-m}).  All four 0 is the continuous q-Hermite limit H_m(x|q)."""
+    a, b, c, d = sorted(t.as_tuple(), key=abs, reverse=True)
+    xv = np.asarray(x, dtype=np.complex128)
+    if a == 0:
+        return hermite_cq_all(n, xv, ctx)
+    q, T = ctx.q, a * b * c * d
+    qm = q ** np.arange(n)
+    step = (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * d * qm) / a  # scale_{m+1} / scale_m
+    A = step * (1 - T * qm / q) / ((1 - T * qm * qm / q) * (1 - T * qm * qm))
+    C = (a * (1 - qm) * (1 - b * c * qm / q) * (1 - b * d * qm / q) * (1 - c * d * qm / q)
+         / ((1 - T * qm * qm / (q * q)) * (1 - T * qm * qm / q)))
+    out = np.empty((n + 1,) + xv.shape, dtype=np.complex128)
+    out[0], p_prev, x2 = 1.0, 0.0, 2 * xv
+    for k, (Ak, Bk, Ck) in enumerate(zip(A.tolist(), (A + C - a - 1 / a).tolist(), C.tolist())):
+        out[k + 1] = ((x2 + Bk) * out[k] - Ck * p_prev) / Ak
+        p_prev = out[k]
+    out *= np.concatenate(([1.0], np.cumprod(step))).reshape((-1,) + (1,) * xv.ndim)
+    return out
 
 
 def aw_polynomial_x(n: int, x, t: AWParams, ctx: QContext):
-    """p_n at arbitrary (possibly complex) x via the three-term recurrence.
-
-    p_n is symmetric in t1..t4, so the parameter of largest modulus leads the
-    recurrence and the scale: a small lead would cancel against its own
-    1/t1 in every step and its t1^{-n}.  All four 0 is the continuous
-    q-Hermite limit H_n(x|q)."""
-    t = AWParams(*sorted(t.as_tuple(), key=abs, reverse=True))
-    a = complex(t.t1)
-    xv = np.asarray(x, dtype=np.complex128)
-    if a == 0:
-        out = hermite_cq_all(n, xv, ctx)[n]
-        return complex(out) if np.ndim(x) == 0 else out
-    p_prev = np.zeros_like(xv)
-    p_cur = np.ones_like(xv)
-    for m in range(n):
-        Am, Cm = _aw_recurrence_coeffs(m, t, ctx)
-        p_next = ((2 * xv - a - 1 / a + Am + Cm) * p_cur - Cm * p_prev) / Am
-        p_prev, p_cur = p_cur, p_next
-    scale = (qpoch_finite(t.t1 * t.t2, n, ctx) * qpoch_finite(t.t1 * t.t3, n, ctx)
-             * qpoch_finite(t.t1 * t.t4, n, ctx)) * a ** (-n)
-    out = scale * p_cur
+    """p_n at arbitrary (possibly complex) x: the last row of aw_polynomial_all."""
+    out = aw_polynomial_all(n, x, t, ctx)[n]
     return complex(out) if np.ndim(x) == 0 else out
 
 
@@ -308,25 +305,33 @@ def aw_weight(theta, t: AWParams, ctx: QContext):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def aw_norm_Mn(n: int, t: AWParams, ctx: QContext):
+def aw_norm_Mn(n, t: AWParams, ctx: QContext):
     """Closed-form L2 norm M_n of p_n against aw_weight:
 
         M_n = 2 pi (T q^{2n}; q)_oo (T q^{n-1}; q)_n
               / [ (q^{n+1}; q)_oo  prod_{j<k} (t_j t_k q^n; q)_oo ],
-        T = t1 t2 t3 t4.
+        T = t1 t2 t3 t4,
+
+    for an integer n or an integer array of n, with one qpoch_infinite call
+    per factor.  Raises DivisionNearZero if the denominator vanishes at any n.
     """
     ts = t.as_tuple()
     T = ts[0] * ts[1] * ts[2] * ts[3]
-    qn = ctx.q**n
-    num = 2.0 * np.pi * qpoch_infinite(T * qn * qn, ctx) * qpoch_finite(T * qn / ctx.q, n, ctx)
-    den = qpoch_infinite(ctx.q * qn, ctx)
-    for j in range(4):
-        for k in range(j + 1, 4):
-            den *= qpoch_infinite(ts[j] * ts[k] * qn, ctx)
-    if abs(den) < ctx.eps_trunc:
+    nv = np.asarray(n)
+    qn = ctx.q**nv
+    # (T q^{n-1}; q)_n as a product over k < max(n), masked to k < n
+    m = np.arange(int(np.max(nv, initial=0)))
+    fin = np.prod(np.where(m < nv[..., None], 1.0 - (T * qn / ctx.q)[..., None] * ctx.q**m, 1.0),
+                  axis=-1)
+    num = 2.0 * np.pi * np.asarray(qpoch_infinite(T * qn * qn, ctx)) * fin
+    den = np.asarray(qpoch_infinite(ctx.q * qn, ctx)) * np.prod(
+        [qpoch_infinite(ts[j] * ts[k] * qn, ctx) for j in range(4) for k in range(j + 1, 4)], axis=0)
+    if np.any(np.abs(den) < ctx.eps_trunc):
         raise DivisionNearZero("vanishing normalization denominator in M_n")
-    val = complex(num / den)
-    return val.real if abs(val.imag) < 1e-10 * max(abs(val), 1.0) else val
+    val = num / den
+    if np.all(np.abs(val.imag) < 1e-10 * np.maximum(np.abs(val), 1.0)):
+        val = val.real
+    return val.item() if val.ndim == 0 else val
 
 
 def basis_phi_quarter(n: int, theta, ctx: QContext):

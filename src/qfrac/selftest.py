@@ -24,7 +24,7 @@ from .qcore import (
 from .qfunctions import (
     AWParams,
     aw_norm_Mn,
-    aw_polynomial,
+    aw_polynomial_all,
     aw_weight,
     hermite_cq_all,
     poisson_kernel,
@@ -154,16 +154,14 @@ def _c_aworth():
     pairs = [(m, n) for m in range(5) for n in range(m, 5)]
 
     def igr(phis):
-        P = [aw_polynomial(k, phis, t, ctx) for k in range(5)]
+        P = aw_polynomial_all(4, np.cos(phis), t, ctx)
         w = aw_weight(phis, t, ctx)
         return np.stack([w * P[m] * P[n] for (m, n) in pairs], axis=1)
 
     gram = np.atleast_1d(integrate_theta(igr, ctx).value)
-    worst = 0.0
-    for (m, n), got in zip(pairs, gram):
-        want = aw_norm_Mn(n, t, ctx) if m == n else 0.0
-        worst = max(worst, abs(got - want) / aw_norm_Mn(0, t, ctx))
-    return worst, 1e-8
+    mn = aw_norm_Mn(np.arange(5), t, ctx)
+    want = np.array([mn[n] if m == n else 0.0 for (m, n) in pairs])
+    return float(np.max(np.abs(gram - want))) / mn[0], 1e-8
 
 
 _registry_check("Poisson kernel series == product form, t = 0.4, -0.35 (I0b)", "I0b",

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qfrac.context import QContext
-from qfrac.errors import CaseInvalid, ParamDomain
+from qfrac.errors import CaseInvalid, NonConvergent, ParamDomain
 from qfrac import identities as idn
+from qfrac import qcore, qfunctions
 from qfrac.identities import IdentityCase, run_identity, run_suite
 from qfrac import operators as op
-from qfrac.qfunctions import AWParams, aw_weight
+from qfrac.qcore import qpoch_infinite
+from qfrac.qfunctions import AWParams, aw_norm_Mn, aw_polynomial, aw_weight
 
 
 ALL_IDS = ["I0a", "I0b", "I0c", "I0d"] + [f"I{k}" for k in range(1, 24)]
@@ -148,6 +150,101 @@ class TestBilinearKernels:
         p = op.KParams(1.9, 1.2)  # q^{-a/2} a3 > 1
         with pytest.raises(ParamDomain):
             idn.bilinear_kernel_6(1.0, 1.5, p, 0.5, 0.1, ctx)
+
+
+class TestEigenActionScale:
+    def test_i19_small_r_judged_on_merged_scale(self):
+        # r^4 h H_4 is ~1e-15 here: judged on its own scale the n = 4 part
+        # failed on rounding alone (max_rel 1.8e-2 at max_abs 1.7e-14)
+        res = run_identity(IdentityCase("I19", {"a": 0.4, "b": 0.3, "q": 0.5,
+                                                "r": -0.0002, "n": 4}))
+        assert res.passed
+        assert res.max_abs < 1e-13 and res.max_rel < 1e-13
+
+    def test_i19_still_fails_a_wrong_eigenvalue(self, monkeypatch):
+        # the merged scale keeps the check: T applied at r but compared with
+        # the eigenvalues of 1.01 r fails at the 1e-7 tolerance
+        apply_t = op.apply_T
+        monkeypatch.setattr(op, "apply_T", lambda p, f, ctx: apply_t(
+            op.TParams(p.a, p.b, p.r / 1.01), f, ctx))
+        res = run_identity(IdentityCase("I19", {"a": 0.4, "b": 0.3, "q": 0.5, "r": 0.5,
+                                                "n": 4, "grid_points": 5}))
+        assert not res.passed
+
+
+def _series6_reference(phi1, phi2, a, c, a3, a4, ctx, tol=1e-12):
+    """The section-6 series one term at a time, on scalar aw_polynomial and
+    aw_norm_Mn: stop after three consecutive terms below tol |running
+    total| once n > 4; returns (value, n_terms)."""
+    q = ctx.q
+    t_base = AWParams(-1 / c, -c * q, a3, a4)
+    t_shift = AWParams(-q ** (a / 2) / c, -c * q ** (1 + a / 2), q ** (-a / 2) * a3,
+                       q ** (-a / 2) * a4)
+    total, small = 0.0, 0
+    for n in range(ctx.max_terms):
+        cn = (qpoch_infinite(q ** (a + n + 1), ctx) / qpoch_infinite(q ** (n + 1), ctx)
+              * q ** (a * n / 2)).real
+        term = (aw_norm_Mn(n, t_shift, ctx) * (cn / aw_norm_Mn(n, t_base, ctx)) ** 2
+                * aw_polynomial(n, phi1, t_base, ctx) * aw_polynomial(n, phi2, t_base, ctx))
+        total += term
+        small = small + 1 if n > 4 and abs(term) < tol * abs(total) else 0
+        if small == 3:
+            return total, n + 1
+    raise AssertionError("reference series did not stop")
+
+
+class TestBilinearSeries:
+    P = op.KParams(0.8, 1.2)
+
+    @pytest.mark.parametrize("q, n_terms", [(0.3, 31), (0.5, 54), (0.7, 107)])
+    def test_blocks_keep_the_stopping_term(self, q, n_terms):
+        # the stops fall in the first, second and third block (32, 64, 128)
+        ctx = QContext(q=q)
+        want, want_n = _series6_reference(1.0, 1.8, 0.8, 1.2, 0.2, 0.1, ctx)
+        got, got_n = idn.bilinear_series_6(1.0, 1.8, self.P, 0.2, 0.1, ctx)
+        assert got_n == want_n == n_terms
+        assert abs(got - want) < 1e-13 * abs(want)
+
+    def test_pochhammer_calls_per_series(self, monkeypatch):
+        # three blocks, each one qpoch_infinite call per factor of M_n
+        # (twice) and C_n: at most 64 calls for the 107-term series
+        calls = []
+
+        def counted(a, ctx):
+            calls.append(1)
+            return qpoch_infinite(a, ctx)
+
+        for module in (qcore, qfunctions, idn):
+            monkeypatch.setattr(module, "qpoch_infinite", counted)
+        idn.bilinear_series_6(1.0, 1.8, self.P, 0.2, 0.1, QContext(q=0.7))
+        assert 0 < len(calls) <= 64
+
+    def test_stopping_rule_never_met_raises(self, ctx05):
+        # tol = 0 makes no term small, so every block up to max_terms runs
+        with pytest.raises(NonConvergent, match="stopping rule not met within max_terms"):
+            idn.bilinear_series_6(1.0, 1.8, self.P, 0.2, 0.1, ctx05, tol=0.0)
+        p, t = op.TParams(0.4, 0.3, 0.5), AWParams(0.4, 0.3, 0.2, 0.1)
+        with pytest.raises(NonConvergent, match="stopping rule not met within max_terms"):
+            idn.bilinear_series_7(1.0, 1.8, p, t, ctx05, tol=0.0)
+
+    def test_unmet_stop_fails_the_case(self, monkeypatch):
+        series7 = idn.bilinear_series_7
+        monkeypatch.setattr(idn, "bilinear_series_7",
+                            lambda *args, tol: series7(*args, tol=0.0))
+        rep = idn.run_case(IdentityCase("I22", {"q": 0.5, "t1": 0.4, "t2": 0.3, "t3": 0.2,
+                                                "t4": 0.1, "r": 0.5}))
+        assert rep.status == "fail"
+        assert "NonConvergent: bilinear series: stopping rule not met" in rep.residual.notes
+
+    def test_section_constants_broadcast(self, ctx05):
+        ns = np.arange(6)
+        t = AWParams(0.4, 0.3, 0.2, 0.1)
+        for block, one in ((idn.section6_constants(ns, 0.8, 1.2, 0.2, 0.1, ctx05),
+                            lambda n: idn.section6_constants(n, 0.8, 1.2, 0.2, 0.1, ctx05)),
+                           (idn.section7_constants(ns, t, -0.5, ctx05),
+                            lambda n: idn.section7_constants(n, t, -0.5, ctx05))):
+            for n in ns:
+                assert np.allclose([b[n] for b in block], one(int(n)), rtol=1e-14, atol=0)
 
 
 class TestSuite:

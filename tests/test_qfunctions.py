@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qfrac.context import QContext
-from qfrac.errors import DomainError, PoleOnContour
+from qfrac.errors import DivisionNearZero, DomainError, PoleOnContour
 from qfrac.qcore import qpoch_finite, qpoch_infinite, euler_product
 from qfrac.qfunctions import (
     AWParams,
     ThetaPoint,
     aw_norm_Mn,
     aw_polynomial,
+    aw_polynomial_all,
     aw_polynomial_series,
     aw_polynomial_x,
     aw_weight,
@@ -251,6 +252,35 @@ class TestAskeyWilson:
                 assert got.real == pytest.approx(mn, rel=1e-8)
             else:
                 assert abs(got) < 1e-8 * mn
+
+    def test_all_degrees_against_series(self, ctx07):
+        # every row p_0..p_6 of the one-pass recurrence against the 4phi3
+        # route; q = 0.7 keeps the series' cancellation to ~3 digits.  The
+        # second quadruple leads with a tiny t1, which the recurrence sorts
+        # away; the series gets the same quadruple with 0.3 leading
+        th = theta_grid(5)
+        for t, t_series in ((self.T, self.T),
+                            (AWParams(1e-6, 0.3, 0.2, -0.1), AWParams(0.3, 1e-6, 0.2, -0.1))):
+            P = aw_polynomial_all(6, np.cos(th), t, ctx07)
+            assert P.shape == (7, 5)
+            for n in range(7):
+                want = aw_polynomial_series(n, th, t_series, ctx07)
+                assert np.max(np.abs(P[n] - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_norm_array_matches_scalar(self, ctx_all):
+        ns = np.arange(40)
+        got = aw_norm_Mn(ns, self.T, ctx_all)
+        assert got.shape == (40,)
+        for n in ns:
+            assert got[n] == pytest.approx(aw_norm_Mn(int(n), self.T, ctx_all), rel=1e-13)
+
+    def test_norm_array_guard(self, ctx05):
+        # t1 t2 = q^{-2}: (t1 t2 q^n; q)_oo vanishes for n <= 2, so M_n's
+        # denominator does; one such n trips the guard for the whole array
+        t = AWParams(2.0, 2.0, 0.1, 0.05)
+        assert np.all(np.isfinite(aw_norm_Mn(np.array([3, 5, 6]), t, ctx05)))
+        with pytest.raises(DivisionNearZero):
+            aw_norm_Mn(np.array([3, 5, 2, 6]), t, ctx05)
 
     def test_params_validation(self, ctx05):
         with pytest.raises(PoleOnContour):

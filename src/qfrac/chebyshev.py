@@ -40,19 +40,20 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def cheb_fit_adaptive(fn_theta, tol: float = 1e-13, n_start: int = 32, n_max: int = 512):
-    """Fit fn(theta_j) on doubling Lobatto grids until the coefficient tail
-    (last eighth) drops below tol relative to the largest coefficient."""
-    n = n_start
+def cheb_fit_adaptive(fn_theta):
+    """Fit fn(theta_j) on Lobatto grids of N = 32, 64, ..., 512 until the
+    coefficient tail (last eighth) drops below 1e-13 relative to the largest
+    coefficient."""
+    n = 32
     while True:
         thetas = np.arange(n + 1) * (np.pi / n)
         vals = np.asarray(fn_theta(thetas), dtype=np.complex128)
         coeffs = cheb_coeffs(vals)
         top = float(np.max(np.abs(coeffs)))
         tail = float(np.max(np.abs(coeffs[-max(2, n // 8):])))
-        if tail <= tol * max(top, 1e-300):
+        if tail <= 1e-13 * max(top, 1e-300):
             return coeffs
-        if n >= n_max:
+        if n >= 512:
             raise NonConvergent(
                 f"Chebyshev coefficients still {tail:.2e} at degree {n}"
             )

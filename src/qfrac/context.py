@@ -10,7 +10,7 @@ class QContext:
     """Numerical regime: the base q plus truncation/quadrature controls.
 
     q            -- base of all q-series, strictly inside (0, 1)
-    eps_trunc    -- tail cutoff for infinite products and bilateral series
+    eps_trunc    -- tail cutoff for infinite products and q-series (settled_sum)
     max_terms    -- hard cap on product/series length before NonConvergent
     quad_rel_tol -- relative tolerance target of every quadrature rule; the
                     rules' sizes are capped in quadrature, not here

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import operators as op
 from .context import QContext
-from .errors import CaseInvalid, NonConvergent, ParamDomain, QFracError
+from .errors import CaseInvalid, ParamDomain, QFracError
 from .qcore import (
     bhs_terminating,
     h_poles,
@@ -31,6 +31,7 @@ from .qcore import (
     jtp_theta_series,
     qpoch_finite,
     qpoch_infinite,
+    settled_sum,
 )
 from .qfunctions import (
     AWParams,
@@ -647,24 +648,15 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
 def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
                      ctx: QContext, tol: float):
     """sum_n A_n (C_n / B_n)^2 p_n(phi1; t) p_n(phi2; t), (A_n, B_n, C_n) =
-    constants(n) for an array of n, stopped after three consecutive terms below
-    tol |running total| once n > 4, in blocks of 32, 64, ... terms up to
-    ctx.max_terms (NonConvergent past it); returns (value, n_terms)."""
-    size = 32
-    while True:
-        size = min(size, ctx.max_terms)
-        n = np.arange(size)
+    constants(n) for an array of n, settled with tolerance tol and floor
+    _FLOOR; returns (value, n_terms)."""
+    def terms(n):
         An, Bn, Cn = constants(n)
-        p = aw_polynomial_all(size - 1, np.cos([phi1, phi2]), t, ctx)
-        terms = An * (Cn / Bn) ** 2 * p[:, 0] * p[:, 1]
-        totals = np.cumsum(terms)
-        small = (n > 4) & (np.abs(terms) < tol * np.maximum(np.abs(totals), _FLOOR))
-        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-        if stops.size:
-            return complex(totals[stops[0] + 2]), int(stops[0]) + 3
-        if size == ctx.max_terms:
-            raise NonConvergent("bilinear series: stopping rule not met within max_terms")
-        size *= 2
+        p = aw_polynomial_all(len(n) - 1, np.cos([phi1, phi2]), t, ctx)
+        return An * (Cn / Bn) ** 2 * p[:, 0] * p[:, 1]
+
+    value, n_terms = settled_sum(terms, tol, _FLOOR, ctx, "bilinear series")
+    return complex(value), n_terms
 
 
 def bilinear_series_6(phi1: float, phi2: float, p: op.KParams, a3, a4,

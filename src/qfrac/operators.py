@@ -462,7 +462,7 @@ def left_inverse_apply(p: KParams, f: AnalyticFn, ctx: QContext,
 
     inner = apply_K(p, f, ctx)
     outer = apply_K(mid, inner, ctx)
-    coeffs = cheb_fit_adaptive(lambda th: outer.on_theta(th), tol=1e-13)
+    coeffs = cheb_fit_adaptive(outer.on_theta)
     # trim the sub-tolerance noise tail: D_q amplifies coefficient n by
     # ~q^{-n/2} per application, so rounding-floor coefficients must not ride
     # through the divided differences
@@ -574,7 +574,7 @@ def apply_Bq(a, b, f: AnalyticFn, ctx: QContext, form: str = "direct",
     raise ValueError("form must be 'direct' or 'factored'")
 
 
-def bq_special_case(a, f: AnalyticFn, ctx: QContext, normalized: bool = True) -> AnalyticFn:
+def bq_special_case(a, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     """B_q(a, q^{1/2} a) in its simplified form
 
         [ (1-az)/(1 - a q^{-1/2}/z) f(q^{1/2}z)
@@ -594,8 +594,7 @@ def bq_special_case(a, f: AnalyticFn, ctx: QContext, normalized: bool = True) ->
         den = (q**0.75 - q ** (-0.25)) * (z * z - 1.0) / 2.0
         return (t_plus - t_minus) / den
 
-    return _divided_difference(quot, f, bq_norm_constant(ctx) if normalized else 1.0,
-                               f"Bq[{a},q^.5 a]({f.label})", ctx)
+    return _divided_difference(quot, f, bq_norm_constant(ctx), f"Bq[{a},q^.5 a]({f.label})", ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Everything here accepts complex scalars or numpy arrays and broadcasts;
 results come back as numpy scalars/arrays of complex128.  The base q and
 all truncation controls live in a QContext.
 
+Every truncated infinite series in qfrac (the theta sums here, the Poisson
+kernel's series form and the q-exponential in qfunctions, the bilinear
+series in identities) stops by one rule, settled_sum: after three
+consecutive terms past n = 4 below tol * max(|partial sum|, floor), summed
+in blocks of 32, 64, ... terms up to max_terms, NonConvergent past it.
+
 Notation used throughout the docstrings:
 
     (a; q)_n   = prod_{k=0}^{n-1} (1 - a q^k)          finite Pochhammer
@@ -30,6 +36,7 @@ __all__ = [
     "h_product",
     "h_product_z",
     "h_poles",
+    "settled_sum",
     "jtp_theta_series",
     "jtp_theta_logq_derivative_series",
     "bhs_terminating",
@@ -150,29 +157,51 @@ def h_product(theta, params, ctx: QContext):
     return _maybe_scalar(np.asarray(out), theta)
 
 
-def _paired_theta_sum(zv, out, pair, what: str, ctx: QContext):
-    """out + sum over m >= 1 of pair(m, q^{binom(m+1,2)}, z^{m+1}, z^{-m}), the
-    terms m+1 and -m of a bilateral theta sum, until two consecutive pairs
-    fall below eps_trunc relative to the running maximum of the partial sums
-    (the maximum, not the sum, guards against cancellation near zeros).
-    A term that overflows raises NonConvergent."""
-    run_max = np.maximum(np.abs(out), 1.0)
-    zp = zv.copy()        # z^m
-    zm = np.ones_like(zv)  # z^-m
-    small = 0
-    for m in range(1, ctx.max_terms + 1):
+def settled_sum(terms, tol: float, floor: float, ctx: QContext, what: str):
+    """Sum of a truncated series whose terms(n), for an index array n, has
+    shape (len(n),) + the shape of one term.  Returns (sum, number of terms).
+
+    The one stopping rule of qfrac's truncated series: stop after the first
+    three consecutive terms past n = 4 that each fall below
+    tol * max(|partial sum through that term|, floor), maxima taken over the
+    components.  terms is called on n = 0..31, 0..63, ... up to
+    ctx.max_terms until the stop falls inside.  Raises NonConvergent when a
+    term before the stop is not finite (terms past it may overflow), or when
+    no stop comes within ctx.max_terms.
+    """
+    size = 32
+    while True:
+        size = min(size, ctx.max_terms)
+        n = np.arange(size)
         with np.errstate(all="ignore"):
-            zp = zp * zv
-            zm = zm / zv
-            term = pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
-        if not np.all(np.isfinite(term)):
-            raise NonConvergent(f"{what}: term {m} overflows")
-        out = out + term
-        run_max = np.maximum(run_max, np.abs(out))
-        small = small + 1 if float(np.max(np.abs(term))) < ctx.eps_trunc * float(np.max(run_max)) else 0
-        if small >= 2:
-            return out
-    raise NonConvergent(f"{what} window exceeded max_terms")
+            t = np.asarray(terms(n), dtype=np.complex128)
+            totals = np.cumsum(t, axis=0)
+            scale = np.maximum(np.abs(totals).reshape(size, -1).max(axis=1), floor)
+            small = (n > 4) & (np.abs(t).reshape(size, -1).max(axis=1) < tol * scale)
+        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        stop = int(stops[0]) + 3 if stops.size else size
+        bad = np.flatnonzero(~np.isfinite(t[:stop]).reshape(stop, -1).all(axis=1))
+        if bad.size:
+            raise NonConvergent(f"{what}: term {bad[0]} overflows")
+        if stops.size:
+            return totals[stop - 1], stop
+        if size == ctx.max_terms:
+            raise NonConvergent(f"{what}: stopping rule not met within max_terms")
+        size *= 2
+
+
+def _paired_theta_sum(zv, pair, what: str, ctx: QContext):
+    """sum over m >= 0 of pair(m, q^{binom(m+1,2)}, z^{m+1}, z^{-m}), the terms
+    m+1 and -m of a bilateral theta sum, settled with tolerance eps_trunc and
+    floor 1.  The powers of z are running products, one rounding per step."""
+    def terms(m):
+        zs = np.broadcast_to(zv, m.shape + zv.shape)
+        zp = np.cumprod(zs, axis=0)
+        zm = np.divide.accumulate(np.concatenate((np.ones_like(zs[:1]), zs[1:])), axis=0)
+        m = m.reshape(m.shape + (1,) * zv.ndim)
+        return pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
+
+    return settled_sum(terms, ctx.eps_trunc, 1.0, ctx, what)[0]
 
 
 def jtp_theta_series(z, ctx: QContext):
@@ -184,8 +213,7 @@ def jtp_theta_series(z, ctx: QContext):
     zv = _asarr(z)
     if np.any(zv == 0):
         raise ValueError("jtp series needs z != 0")
-    out = _paired_theta_sum(zv, 1.0 + zv, lambda m, w, zp, zm: w * (zp + zm),
-                            "bilateral theta series", ctx)
+    out = _paired_theta_sum(zv, lambda m, w, zp, zm: w * (zp + zm), "bilateral theta series", ctx)
     return _maybe_scalar(out, z)
 
 
@@ -200,9 +228,7 @@ def jtp_theta_logq_derivative_series(z, ctx: QContext):
     if np.any(zv == 0):
         raise ValueError("jtp derivative series needs z != 0")
     half_logq = 0.5 * math.log(ctx.q)
-    # k = 1 starts the sum; k = 0 contributes nothing
-    out = _paired_theta_sum(zv, zv * half_logq,
-                            lambda m, w, zp, zm: w * half_logq * ((m + 1) * zp - m * zm),
+    out = _paired_theta_sum(zv, lambda m, w, zp, zm: w * half_logq * ((m + 1) * zp - m * zm),
                             "theta derivative series", ctx)
     return _maybe_scalar(out / euler_product(ctx), z)
 

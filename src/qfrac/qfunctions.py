@@ -26,6 +26,7 @@ from .qcore import (
     h_product_z,
     qpoch_finite,
     qpoch_infinite,
+    settled_sum,
 )
 
 __all__ = [
@@ -123,6 +124,11 @@ def hermite_cq_all(n: int, x, ctx: QContext) -> np.ndarray:
     return out
 
 
+def _tn_over_qn(t, m: int, ctx: QContext) -> np.ndarray:
+    """t^n / (q; q)_n for n = 0..m, as running products."""
+    return np.cumprod(np.concatenate(([1.0], t / (1.0 - np.cumprod(np.full(m, ctx.q))))))
+
+
 def hermite_cq(n: int, x, ctx: QContext):
     """Continuous q-Hermite polynomial H_n(x|q) by the three-term recurrence."""
     val = hermite_cq_all(n, x, ctx)[n]
@@ -171,32 +177,14 @@ def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
         return complex(poisson_kernel_z(np.exp(1j * phi), np.exp(1j * theta), t, ctx)[0, 0])
     if form != "series":
         raise ValueError("form must be 'series' or 'product'")
-    total = 0j
-    h_prev2, h_prev = None, None
-    coeff = 1.0 + 0j
-    qk = 1.0
-    xt, xp = math.cos(theta), math.cos(phi)
-    run_max = 1.0
-    small = 0  # consecutive small terms (a single one may be a zero of H_n)
-    for n in range(ctx.max_terms):
-        if n == 0:
-            hn_t, hn_p = 1.0, 1.0
-        elif n == 1:
-            hn_t, hn_p = 2 * xt, 2 * xp
-        else:
-            hn_t = 2 * xt * h_prev[0] - (1 - qk) * h_prev2[0]
-            hn_p = 2 * xp * h_prev[1] - (1 - qk) * h_prev2[1]
-        if n >= 1:
-            qk *= ctx.q  # after: qk = q^n
-            coeff *= t / (1.0 - qk)
-        term = coeff * hn_t * hn_p
-        total += term
-        run_max = max(run_max, abs(total))
-        h_prev2, h_prev = h_prev, (hn_t, hn_p)
-        small = small + 1 if abs(term) < ctx.eps_trunc * run_max else 0
-        if n > 4 and small >= 3:
-            return total
-    raise DomainError("poisson series did not settle within max_terms")
+
+    def terms(n):
+        # H_n(cos theta) H_n(cos phi) t^n / (q; q)_n
+        coeff = _tn_over_qn(t, len(n) - 1, ctx)
+        h = hermite_cq_all(len(n) - 1, [math.cos(theta), math.cos(phi)], ctx)
+        return coeff * h[:, 0] * h[:, 1]
+
+    return complex(settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "poisson series")[0])
 
 
 def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
@@ -406,25 +394,12 @@ def q_exponential_x(x, tval, ctx: QContext):
     if abs(tval) >= 1.0:
         raise DomainError("q_exponential needs |tval| < 1")
     x = np.asarray(x, dtype=np.complex128)
-    total = np.ones_like(x, dtype=np.complex128)
-    h_prev = np.ones_like(x, dtype=np.complex128)
-    h_cur = 2.0 * x
-    qk = 1.0
-    coeff = 1.0 + 0j
-    run_max = 1.0
-    small = 0
-    for n in range(1, ctx.max_terms):
-        qk *= ctx.q
-        coeff *= tval / (1.0 - qk)
-        term = coeff * ctx.q ** (n * n / 4.0) * h_cur
-        total = total + term
-        run_max = max(run_max, float(np.max(np.abs(total))))
-        small = small + 1 if float(np.max(np.abs(term))) < ctx.eps_trunc * run_max else 0
-        if n > 4 and small >= 3:
-            break
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - (1.0 - qk) * h_prev
-    else:
-        raise DomainError("q-exponential series did not settle")
+
+    def terms(n):
+        coeff = _tn_over_qn(tval, len(n) - 1, ctx) * ctx.q ** (n * n / 4.0)
+        return coeff.reshape((-1,) + (1,) * x.ndim) * hermite_cq_all(len(n) - 1, x, ctx)
+
+    total = settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "q-exponential series")[0]
     ctx2 = ctx.with_q(ctx.q * ctx.q)
     out = total / qpoch_infinite(ctx.q * tval * tval, ctx2)
     return out if out.ndim else complex(out)
@@ -437,38 +412,22 @@ def q_exponential_direct(theta, tval, ctx: QContext):
             sum_n (-i e^{it} q^{(1-n)/2}, -i e^{-it} q^{(1-n)/2}; q)_n
                   (-i a)^n q^{n^2/4} / (q; q)_n.
 
-    Finite products are rescaled on the fly (factors reach q^{-n/2} sizes)."""
+    Factor k of term n is 1 + i w q^e, e = (1-n)/2 + k, w = e^{+-it}; one with
+    e < 0 is written q^e (q^-e + i w), so every factor stays bounded, and the
+    q^{2e} taken out cancel q^{n^2/4} up to q^{1/4} at odd n."""
     if abs(tval) >= 1.0:
         raise DomainError("q_exponential needs |tval| < 1")
-    z = complex(np.exp(1j * theta))
-    total = 1.0 + 0j
-    qn_fact = 1.0
-    run_max = 1.0
-    small = 0
-    for n in range(1, ctx.max_terms):
-        qn_fact *= 1.0 - ctx.q**n
-        prod = 1.0 + 0j
-        logscale = 0.0
-        base = ctx.q ** ((1 - n) / 2.0)
-        for _ in range(n):
-            prod *= (1.0 + 1j * z * base) * (1.0 + 1j * base / z)
-            base *= ctx.q
-            m = abs(prod)
-            if m > 1e100 or (0 < m < 1e-100):
-                logscale += math.log(m)
-                prod /= m
-        amp = logscale + (n * n / 4.0) * math.log(ctx.q) + n * math.log(abs(tval)) if tval != 0 else -math.inf
-        if tval == 0:
-            break
-        phase = (-1j * tval / abs(tval)) ** n
-        term = prod * phase * math.exp(amp) / qn_fact
-        total += term
-        run_max = max(run_max, abs(total))
-        small = small + 1 if abs(term) < ctx.eps_trunc * run_max else 0
-        if n > 4 and small >= 3:
-            break
-    else:
-        raise DomainError("direct q-exponential series did not settle")
+    q, z = ctx.q, complex(np.exp(1j * theta))
+
+    def terms(n):
+        e = (1 - n[:, None]) / 2.0 + n[None, :]
+        qe = q ** np.abs(e)
+        f = np.where(e < 0, (qe + 1j * z) * (qe + 1j / z), (1.0 + 1j * z * qe) * (1.0 + 1j * qe / z))
+        prod = np.prod(np.where(n[None, :] < n[:, None], f, 1.0), axis=1)
+        coeff = _tn_over_qn(-1j * tval, len(n) - 1, ctx)
+        return prod * coeff * q ** (0.25 * (n % 2))
+
+    total = settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "direct q-exponential series")[0]
     ctx2 = ctx.with_q(ctx.q * ctx.q)
     pref = qpoch_infinite(tval * tval, ctx2) / qpoch_infinite(ctx.q * tval * tval, ctx2)
     return pref * total

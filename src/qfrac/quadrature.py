@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +48,13 @@ __all__ = ["QuadResult", "integrate_theta", "converged_value", "eval_counter"]
 _FLOOR_SCALE = 1e-300
 
 
-class _EvalCounter(threading.local):
-    def __init__(self):
-        self.n = 0
+@dataclass
+class _EvalCounter:
+    n: int = 0
 
 
 eval_counter = _EvalCounter()
-"""Thread-local integrand evaluation counter (identity reports read it)."""
+"""Integrand evaluation counter (identity reports read it)."""
 
 
 @dataclass

@@ -1,0 +1,28 @@
+"""The benchmark's layer tracer (bench/tracing.py) against the package.
+
+Tracer() looks every traced entry point up by name and wraps
+AnalyticFn.__call__, which reads the memo; a renamed entry point or a
+removed memo fails here instead of in `bench/run.py --trace 1`.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from qfrac.identities import IdentityCase, run_case
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+def test_tracer_wraps_the_traced_layers():
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reps = [run_case(IdentityCase("I0d", {"q": 0.5})),
+                run_case(IdentityCase("I5", {"q": 0.5, "a": 1.2, "c": 1.4, "n": 3,
+                                             "grid_points": 5}))]
+    assert [r.status for r in reps] == ["pass", "pass"]
+    assert tracer.calls["qcore.theta_series"] > 0
+    assert tracer.counts["quadrature.nodes"] > 0
+    assert tracer.counts["operators.points_requested"] > 0

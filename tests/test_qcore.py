@@ -22,6 +22,7 @@ from qfrac.qcore import (
     qpoch_infinite,
     qpoch_infinite_tail_bound,
     qpoch_real_index,
+    settled_sum,
 )
 
 
@@ -168,6 +169,39 @@ class TestJacobiTripleProduct:
         rhs = (qpoch_infinite(ctx_all.q, ctx_all) * qpoch_infinite(-z, ctx_all)
                * qpoch_infinite(-ctx_all.q / z, ctx_all))
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+
+def _settled_reference(term, tol, floor, max_terms):
+    """The stopping rule one term at a time: stop after three consecutive
+    terms past n = 4 below tol max(|partial sum|, floor)."""
+    total, small = 0.0, 0
+    for n in range(max_terms):
+        total += term(n)
+        small = small + 1 if n > 4 and abs(term(n)) < tol * max(abs(total), floor) else 0
+        if small == 3:
+            return total, n + 1
+    raise AssertionError("reference loop did not stop")
+
+
+class TestSettledSum:
+    @pytest.mark.parametrize("r", [0.3, -0.7, 0.5, 0.93])
+    def test_geometric_against_per_term_loop(self, ctx05, r):
+        # stops in the first (r = 0.3), second (-0.7, 0.5) and fifth block (0.93)
+        want, want_n = _settled_reference(lambda n: r**n, 1e-15, 1.0, ctx05.max_terms)
+        got, got_n = settled_sum(lambda n: r**n, 1e-15, 1.0, ctx05, "geometric")
+        assert got_n == want_n
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_overflow_past_the_stop_is_ignored(self):
+        # the sum stops near m = 20; z^-31 = inf later in the first block
+        ctx = QContext(q=0.05)
+        z = 1e-10
+        want = qpoch_infinite(0.05, ctx) * qpoch_infinite(-z, ctx) * qpoch_infinite(-0.05 / z, ctx)
+        assert abs(jtp_theta_series(z, ctx) - want) <= 1e-13 * abs(want)
+
+    def test_overflow_before_the_stop_raises(self, ctx05):
+        with pytest.raises(NonConvergent, match="bilateral theta series: term 2 overflows"):
+            jtp_theta_series(1e-300, ctx05)
 
 
 class TestThetaLogqDerivative:

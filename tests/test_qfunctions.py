@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfrac.context import QContext
-from qfrac.errors import DivisionNearZero, DomainError, PoleOnContour
+from qfrac.errors import DivisionNearZero, DomainError, NonConvergent, PoleOnContour
 from qfrac.qcore import qpoch_finite, qpoch_infinite, euler_product
 from qfrac.qfunctions import (
     AWParams,
@@ -345,6 +345,14 @@ class TestQExponential:
                 a = q_exponential(th, t, ctx_all)
                 b = q_exponential_direct(th, t, ctx_all)
                 assert a == pytest.approx(b, rel=1e-9)
+
+    def test_direct_at_t_zero(self, ctx_all):
+        assert q_exponential_direct(np.pi / 3, 0.0, ctx_all) == 1
+
+    def test_direct_unsettled_raises(self, ctx03):
+        # about 670 terms are needed against max_terms = 512
+        with pytest.raises(NonConvergent, match="stopping rule not met within max_terms"):
+            q_exponential_direct(np.pi / 3, -0.95, ctx03)
 
     def test_real_for_real_args(self, ctx05):
         v = q_exponential(1.3, 0.2, ctx05)

@@ -179,7 +179,6 @@ def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
         raise ValueError("form must be 'series' or 'product'")
 
     def terms(n):
-        # H_n(cos theta) H_n(cos phi) t^n / (q; q)_n
         coeff = _tn_over_qn(t, len(n) - 1, ctx)
         h = hermite_cq_all(len(n) - 1, [math.cos(theta), math.cos(phi)], ctx)
         return coeff * h[:, 0] * h[:, 1]

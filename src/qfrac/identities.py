@@ -172,7 +172,9 @@ def _t_op(a, b, r, ctx: QContext):
 def _poch_ratio(a, beta, ctx: QContext):
     """(q^{a+beta+1}; q)_oo / (q^{beta+1}; q)_oo, broadcast over beta."""
     q = ctx.q
-    return qpoch_infinite(q ** (a + beta + 1.0), ctx) / qpoch_infinite(q ** (beta + 1.0), ctx)
+    num, den = qpoch_infinite(np.stack(np.broadcast_arrays(q ** (a + beta + 1.0), q ** (beta + 1.0))),
+                              ctx)
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +654,7 @@ def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
     _FLOOR; returns (value, n_terms)."""
     def terms(n):
         An, Bn, Cn = constants(n)
-        p = aw_polynomial_all(len(n) - 1, np.cos([phi1, phi2]), t, ctx)
+        p = aw_polynomial_all(n[-1], np.cos([phi1, phi2]), t, ctx)[n]
         return An * (Cn / Bn) ** 2 * p[:, 0] * p[:, 1]
 
     value, n_terms = settled_sum(terms, tol, _FLOOR, ctx, "bilinear series")
@@ -794,7 +796,8 @@ def _shift7(t: AWParams, r) -> AWParams:
 def _c7(t: AWParams, r, n, ctx: QContext):
     """c_n = (r^2 t1 t2 q^n; q)_oo / (t1 t2 q^n; q)_oo r^n, broadcast over n."""
     tq = t.t1 * t.t2 * ctx.q**n
-    return qpoch_infinite(r * r * tq, ctx) / qpoch_infinite(tq, ctx) * r**n
+    num, den = qpoch_infinite(np.stack(np.broadcast_arrays(r * r * tq, tq)), ctx)
+    return num / den * r**n
 
 
 def _run_I21(params, variant, ctx, tol):

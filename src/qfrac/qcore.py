@@ -4,11 +4,17 @@ Everything here accepts complex scalars or numpy arrays and broadcasts;
 results come back as numpy scalars/arrays of complex128.  The base q and
 all truncation controls live in a QContext.
 
+Every infinite product (a; q)_oo goes through qpoch_infinite: it multiplies
+out the few factors that bring max|a| q^m down to 1/4, and sums the rest by
+Euler's series in 8-21 terms at q = 0.3..0.9, truncated where the dropped
+terms fall below eps_trunc relative to the value (qpoch_infinite_tail_bound).
+
 Every truncated infinite series in qfrac (the theta sums here, the Poisson
 kernel's series form and the q-exponential in qfunctions, the bilinear
 series in identities) stops by one rule, settled_sum: after three
 consecutive terms past n = 4 below tol * max(|partial sum|, floor), summed
-in blocks of 32, 64, ... terms up to max_terms, NonConvergent past it.
+in blocks of 16, 16, 32, 64, ... new terms up to max_terms, NonConvergent
+past it.
 
 Notation used throughout the docstrings:
 
@@ -20,6 +26,7 @@ Notation used throughout the docstrings:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -70,43 +77,94 @@ def qpoch_finite(a, n: int, ctx: QContext):
     return _maybe_scalar(out, a)
 
 
-def _trunc_count(mod_a: float, ctx: QContext) -> int:
-    """Smallest N with mod_a * q^N < eps_trunc."""
-    if mod_a < ctx.eps_trunc:
+def _peel_radius(q: float) -> float:
+    """|x| up to which qpoch_infinite sums (x; q)_oo as Euler's series: 1/4,
+    lowered to 5(1-q)/2 for q > 0.9.  The series' terms then sum in
+    magnitude to at most (-|x|; q)_oo / (|x|; q)_oo < exp(2|x|/(1-q)) <= e^5
+    times the value, which bounds the digits its cancellation costs."""
+    return min(0.25, 2.5 * (1.0 - q))
+
+
+def _peel_count(mod_a: float, q: float) -> int:
+    """Smallest m with mod_a q^m <= _peel_radius(q)."""
+    r = _peel_radius(q)
+    if mod_a <= r:
         return 0
-    n = math.log(mod_a / ctx.eps_trunc) / math.log(1.0 / ctx.q)
-    return int(math.floor(n)) + 1
+    return math.ceil(math.log(mod_a / r) / math.log(1.0 / q))
+
+
+def _euler_tail(x: float, n: int, q: float) -> float:
+    """Bound on |sum_{k>=n} c_k x^k| / |(x; q)_oo| for 0 <= |x| = x < 1, with
+    c_k = (-1)^k q^{binom(k,2)} / (q; q)_k: past n the terms fall at least by
+    rho = x q^n / (1 - q^{n+1}) each, and |(x; q)_oo| >= (x; q)_oo >=
+    exp(-x / ((1-q)(1-x)))."""
+    if x == 0.0:
+        return 0.0
+    rho = x * q**n / (1.0 - q ** (n + 1))
+    if rho >= 1.0:
+        return math.inf
+    c_n = q ** (n * (n - 1) / 2.0) / math.prod(1.0 - q**k for k in range(1, n + 1))
+    return c_n * x**n / ((1.0 - rho) * math.exp(-x / ((1.0 - q) * (1.0 - x))))
+
+
+@functools.lru_cache(maxsize=64)
+def _euler_coefficients(q: float, eps_trunc: float) -> tuple:
+    """c_0..c_{N-1} of Euler's series (x; q)_oo = sum_k c_k x^k, with N the
+    smallest count whose tail bound at |x| = _peel_radius(q) is below
+    eps_trunc.  Built on first use for each (q, eps_trunc)."""
+    r = _peel_radius(q)
+    n = 1
+    while _euler_tail(r, n, q) >= eps_trunc:
+        n += 1
+    coeffs = [1.0]
+    for k in range(1, n):
+        coeffs.append(-coeffs[-1] * q ** (k - 1) / (1.0 - q**k))
+    return tuple(coeffs)
 
 
 def qpoch_infinite(a, ctx: QContext):
-    """Infinite q-Pochhammer (a; q)_oo, truncated at the smallest N with
-    |a| q^N < ctx.eps_trunc.
+    """Infinite q-Pochhammer (a; q)_oo.
 
-    The dropped tail satisfies  |tail| <= |a| q^N / ((1-q)(1 - |a| q^N))
-    relative to the returned value (see qpoch_infinite_tail_bound).
-    Raises NonConvergent if N would exceed ctx.max_terms.
+    With m the fewest factors that bring max|a| q^m to _peel_radius(q) (1/4
+    for q <= 0.9), (a; q)_oo = (a; q)_m (a q^m; q)_oo: the m factors are
+    multiplied out, and the tail by Euler's identity
+    (x; q)_oo = sum_k (-1)^k q^{binom(k,2)} x^k / (q; q)_k (Gasper & Rahman,
+    Basic Hypergeometric Series, 1.3), summed by Horner over the first N
+    coefficients, N the fewest whose dropped terms at |x| = _peel_radius(q)
+    stay below ctx.eps_trunc relative to the value (qpoch_infinite_tail_bound;
+    N = 8, 9, 12, 21 at q = 0.3, 0.5, 0.7, 0.9 for eps_trunc = 1e-15).  The
+    coefficients are built once per (q, eps_trunc).  Raises NonConvergent if
+    m + N would exceed ctx.max_terms.
     """
     av = _asarr(a)
     mod = float(np.max(np.abs(av))) if av.size else 0.0
-    n_terms = _trunc_count(mod, ctx)
-    if n_terms > ctx.max_terms:
+    q = ctx.q
+    m = _peel_count(mod, q)
+    coeffs = _euler_coefficients(q, ctx.eps_trunc)
+    if m + len(coeffs) > ctx.max_terms:
         raise NonConvergent(
-            f"(a;q)_oo needs {n_terms} factors > max_terms={ctx.max_terms}"
+            f"(a;q)_oo needs {m} factors and {len(coeffs)} series terms > max_terms={ctx.max_terms}"
         )
     out = np.ones_like(av)
-    scaled = av.copy()
-    for _ in range(n_terms):
-        out = out * (1.0 - scaled)
-        scaled *= ctx.q
+    x = av.copy()
+    for _ in range(m):
+        out *= 1.0 - x
+        x *= q
+    tail = np.full_like(av, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        tail *= x
+        tail += c
+    out *= tail
     return _maybe_scalar(out, a)
 
 
 def qpoch_infinite_tail_bound(a, ctx: QContext) -> float:
-    """Relative error bound of the truncation used by qpoch_infinite."""
+    """Relative error bound of the Euler-series truncation used by
+    qpoch_infinite: the dropped terms over |(x; q)_oo| at x = max|a| q^m
+    (_euler_tail), at most ctx.eps_trunc."""
     mod = float(np.max(np.abs(np.asarray(a))))
-    n_terms = _trunc_count(mod, ctx)
-    r = mod * ctx.q**n_terms
-    return r / ((1.0 - ctx.q) * (1.0 - r))
+    x = mod * ctx.q ** _peel_count(mod, ctx.q)
+    return _euler_tail(x, len(_euler_coefficients(ctx.q, ctx.eps_trunc)), ctx.q)
 
 
 def euler_product(ctx: QContext) -> float:
@@ -120,25 +178,25 @@ def qpoch_real_index(a, beta: float, ctx: QContext):
     Agrees with qpoch_finite for nonnegative integer beta.  Raises
     DivisionNearZero when the denominator is smaller than eps_trunc.
     """
-    num = _asarr(qpoch_infinite(a, ctx))
-    den = _asarr(qpoch_infinite(_asarr(a) * ctx.q**beta, ctx))
+    av = _asarr(a)
+    num, den = qpoch_infinite(np.stack((av, av * ctx.q**beta)), ctx)
     if np.min(np.abs(den)) < ctx.eps_trunc:
         raise DivisionNearZero("(a q^beta; q)_oo vanishes within eps_trunc")
     return _maybe_scalar(num / den, a)
 
 
 def h_product_z(z, params, ctx: QContext):
-    """h in the variable z: prod_j (a_j z; q)_oo (a_j / z; q)_oo.
+    """h in the variable z: prod_j (a_j z; q)_oo (a_j / z; q)_oo, all 2n
+    products in one qpoch_infinite call.
 
     On |z| = 1 with z = e^{i theta} this is h(cos theta; a_1..a_n).
     The empty parameter list gives 1.
     """
     zv = _asarr(z)
-    out = np.ones_like(zv)
-    for aj in params:
-        out = out * _asarr(qpoch_infinite(aj * zv, ctx))
-        out = out * _asarr(qpoch_infinite(aj / zv, ctx))
-    return _maybe_scalar(out, z)
+    if len(params) == 0:
+        return _maybe_scalar(np.ones_like(zv), z)
+    args = np.stack([w for aj in params for w in (aj * zv, aj / zv)])
+    return _maybe_scalar(np.prod(qpoch_infinite(args, ctx), axis=0), z)
 
 
 def h_poles(params):
@@ -164,20 +222,23 @@ def settled_sum(terms, tol: float, floor: float, ctx: QContext, what: str):
     The one stopping rule of qfrac's truncated series: stop after the first
     three consecutive terms past n = 4 that each fall below
     tol * max(|partial sum through that term|, floor), maxima taken over the
-    components.  terms is called on n = 0..31, 0..63, ... up to
-    ctx.max_terms until the stop falls inside.  Raises NonConvergent when a
-    term before the stop is not finite (terms past it may overflow), or when
-    no stop comes within ctx.max_terms.
+    components.  terms is called on consecutive blocks n = 0..15, 16..31,
+    32..63, ..., each once and in order, up to ctx.max_terms, until the stop
+    falls inside, so a series that stops at n evaluates at most 2n terms
+    (the first possible stop is n = 8).  Raises NonConvergent when a term
+    before the stop is not finite (terms past it may overflow), or when no
+    stop comes within ctx.max_terms.
     """
-    size = 32
+    t = np.empty((0,), dtype=np.complex128)
+    size = 16
     while True:
         size = min(size, ctx.max_terms)
-        n = np.arange(size)
         with np.errstate(all="ignore"):
-            t = np.asarray(terms(n), dtype=np.complex128)
+            block = np.asarray(terms(np.arange(len(t), size)), dtype=np.complex128)
+            t = np.concatenate((t.reshape((-1,) + block.shape[1:]), block))
             totals = np.cumsum(t, axis=0)
             scale = np.maximum(np.abs(totals).reshape(size, -1).max(axis=1), floor)
-            small = (n > 4) & (np.abs(t).reshape(size, -1).max(axis=1) < tol * scale)
+            small = (np.arange(size) > 4) & (np.abs(t).reshape(size, -1).max(axis=1) < tol * scale)
         stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
         stop = int(stops[0]) + 3 if stops.size else size
         bad = np.flatnonzero(~np.isfinite(t[:stop]).reshape(stop, -1).all(axis=1))
@@ -193,11 +254,12 @@ def settled_sum(terms, tol: float, floor: float, ctx: QContext, what: str):
 def _paired_theta_sum(zv, pair, what: str, ctx: QContext):
     """sum over m >= 0 of pair(m, q^{binom(m+1,2)}, z^{m+1}, z^{-m}), the terms
     m+1 and -m of a bilateral theta sum, settled with tolerance eps_trunc and
-    floor 1.  The powers of z are running products, one rounding per step."""
+    floor 1.  The powers of z are running products from m = 0, one rounding
+    per step."""
     def terms(m):
-        zs = np.broadcast_to(zv, m.shape + zv.shape)
-        zp = np.cumprod(zs, axis=0)
-        zm = np.divide.accumulate(np.concatenate((np.ones_like(zs[:1]), zs[1:])), axis=0)
+        zs = np.broadcast_to(zv, (m[-1] + 1,) + zv.shape)
+        zp = np.cumprod(zs, axis=0)[m]
+        zm = np.divide.accumulate(np.concatenate((np.ones_like(zs[:1]), zs[1:])), axis=0)[m]
         m = m.reshape(m.shape + (1,) * zv.ndim)
         return pair(m, ctx.q ** (m * (m + 1) / 2.0), zp, zm)
 

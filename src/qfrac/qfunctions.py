@@ -107,20 +107,26 @@ def theta_grid(n: int = 17) -> np.ndarray:
     return (2 * j + 1) * np.pi / (2 * n)
 
 
-def hermite_cq_all(n: int, x, ctx: QContext) -> np.ndarray:
+def hermite_cq_all(n: int, x, ctx: QContext, head=None) -> np.ndarray:
     """H_0..H_n at x in one recurrence pass; shape (n+1,) + shape(x).
 
-    H_0 = 1, H_1 = 2x, 2x H_k = H_{k+1} + (1 - q^k) H_{k-1}.
+    H_0 = 1, H_1 = 2x, 2x H_k = H_{k+1} + (1 - q^k) H_{k-1}.  head, the rows
+    H_0..H_m of an earlier call at the same x, is continued, not recomputed.
     """
     xv = np.asarray(x, dtype=np.complex128)
     out = np.empty((n + 1,) + xv.shape, dtype=np.complex128)
     out[0] = 1.0
     if n >= 1:
         out[1] = 2.0 * xv
+    known = 2
+    if head is not None:
+        known = min(len(head), n + 1)
+        out[:known] = head[:known]
     qk = 1.0
     for k in range(1, n):
         qk *= ctx.q
-        out[k + 1] = 2.0 * xv * out[k] - (1.0 - qk) * out[k - 1]
+        if k + 1 >= known:
+            out[k + 1] = 2.0 * xv * out[k] - (1.0 - qk) * out[k - 1]
     return out
 
 
@@ -143,11 +149,14 @@ def weight_wH_sin(theta, ctx: QContext):
     (e^{+-2it}; q)_oo pair vanishes like sin^2 at the endpoints, so the
     product extends continuously by 0 to theta in {0, pi}.
     """
-    tv = np.asarray(theta, dtype=np.float64)
-    z2 = np.exp(2j * tv)
-    prod = np.asarray(qpoch_infinite(z2, ctx)) * np.asarray(qpoch_infinite(1.0 / z2, ctx))
-    out = euler_product(ctx) * np.real(prod) / (2.0 * np.pi)
+    out = euler_product(ctx) * _edge_pair(np.asarray(theta, dtype=np.float64), ctx) / (2.0 * np.pi)
     return float(out) if np.ndim(theta) == 0 else out
+
+
+def _edge_pair(tv, ctx: QContext):
+    """(e^{2it}, e^{-2it}; q)_oo for real t: a conjugate pair, |(e^{2it}; q)_oo|^2."""
+    p = np.asarray(qpoch_infinite(np.exp(2j * tv), ctx))
+    return p.real**2 + p.imag**2
 
 
 def weight_wH(theta, ctx: QContext):
@@ -178,12 +187,19 @@ def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
     if form != "series":
         raise ValueError("form must be 'series' or 'product'")
 
+    x, h = [math.cos(theta), math.cos(phi)], None
+
     def terms(n):
-        coeff = _tn_over_qn(t, len(n) - 1, ctx)
-        h = hermite_cq_all(len(n) - 1, [math.cos(theta), math.cos(phi)], ctx)
-        return coeff * h[:, 0] * h[:, 1]
+        nonlocal h
+        h = hermite_cq_all(n[-1], x, ctx, head=h)
+        return _tn_over_qn(t, n[-1], ctx)[n] * h[n, 0] * h[n, 1]
 
     return complex(settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "poisson series")[0])
+
+
+def _on_unit_circle(w) -> bool:
+    """Every |w| = 1 to rounding (e^{i phi} of a real phi), not merely near it."""
+    return bool(np.all(np.abs(np.abs(w) - 1.0) <= 4.0 * np.finfo(float).eps))
 
 
 def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
@@ -194,8 +210,11 @@ def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
 
     zeta is one node array for every z, or an (m, len(z)) array whose column
     k holds the nodes of z_k.  On |z| = 1, z = e^{i theta}, this is
-    poisson_kernel(theta, phi, t).  The four denominator products share one
-    truncation length, set by the largest modulus among them.
+    poisson_kernel(theta, phi, t).  For real t with zeta and z on the unit
+    circle the four products are two conjugate pairs, and the denominator is
+    |(t zeta z, t zeta/z; q)_oo|^2; off the circle (D_q's |z| = q^{+-1/2},
+    the Richardson points z(1 +- delta)) all four are taken.  The products
+    of one call share one truncation, set by the largest modulus among them.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
     zeta = zeta.reshape(len(zeta), -1)
@@ -203,9 +222,14 @@ def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
     # t rides on the per-z factors so each argument takes one rounding per
     # node: near phi = theta the factor 1 - t zeta/z cancels, and any further
     # rounding there moves the last bits of every integral of the kernel
-    tz, t_z, inv = t * z, t / z, 1.0 / zeta
+    tz, t_z = t * z, t / z
+    num = qpoch_infinite(t * t, ctx)
+    if np.imag(t) == 0 and _on_unit_circle(z) and _on_unit_circle(zeta):
+        pair = np.prod(qpoch_infinite(np.stack((zeta * tz, zeta * t_z)), ctx), axis=0)
+        return num / (pair.real**2 + pair.imag**2)
+    inv = 1.0 / zeta
     args = np.stack((zeta * tz, inv * tz, zeta * t_z, inv * t_z))
-    return qpoch_infinite(t * t, ctx) / np.prod(qpoch_infinite(args, ctx), axis=0)
+    return num / np.prod(qpoch_infinite(args, ctx), axis=0)
 
 
 def aw_polynomial_all(n: int, x, t: AWParams, ctx: QContext) -> np.ndarray:
@@ -285,10 +309,7 @@ def aw_weight(theta, t: AWParams, ctx: QContext):
         if abs(tj) >= 1.0:
             raise PoleOnContour(f"|t{j+1}| >= 1 puts a pole on the contour")
     tv = np.asarray(theta, dtype=np.float64)
-    z = np.exp(1j * tv)
-    num = np.asarray(qpoch_infinite(z * z, ctx)) * np.asarray(qpoch_infinite(1.0 / (z * z), ctx))
-    den = h_product_z(z, t.as_tuple(), ctx)
-    out = np.real(num / den)
+    out = np.real(_edge_pair(tv, ctx) / h_product_z(np.exp(1j * tv), t.as_tuple(), ctx))
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -299,8 +320,9 @@ def aw_norm_Mn(n, t: AWParams, ctx: QContext):
               / [ (q^{n+1}; q)_oo  prod_{j<k} (t_j t_k q^n; q)_oo ],
         T = t1 t2 t3 t4,
 
-    for an integer n or an integer array of n, with one qpoch_infinite call
-    per factor.  Raises DivisionNearZero if the denominator vanishes at any n.
+    for an integer n or an integer array of n, with the eight infinite
+    products in one qpoch_infinite call.  Raises DivisionNearZero if the
+    denominator vanishes at any n.
     """
     ts = t.as_tuple()
     T = ts[0] * ts[1] * ts[2] * ts[3]
@@ -310,9 +332,10 @@ def aw_norm_Mn(n, t: AWParams, ctx: QContext):
     m = np.arange(int(np.max(nv, initial=0)))
     fin = np.prod(np.where(m < nv[..., None], 1.0 - (T * qn / ctx.q)[..., None] * ctx.q**m, 1.0),
                   axis=-1)
-    num = 2.0 * np.pi * np.asarray(qpoch_infinite(T * qn * qn, ctx)) * fin
-    den = np.asarray(qpoch_infinite(ctx.q * qn, ctx)) * np.prod(
-        [qpoch_infinite(ts[j] * ts[k] * qn, ctx) for j in range(4) for k in range(j + 1, 4)], axis=0)
+    pairs = [ts[j] * ts[k] * qn for j in range(4) for k in range(j + 1, 4)]
+    prods = qpoch_infinite(np.stack(np.broadcast_arrays(T * qn * qn, ctx.q * qn, *pairs)), ctx)
+    num = 2.0 * np.pi * prods[0] * fin
+    den = prods[1] * np.prod(prods[2:], axis=0)
     if np.any(np.abs(den) < ctx.eps_trunc):
         raise DivisionNearZero("vanishing normalization denominator in M_n")
     val = num / den
@@ -392,11 +415,13 @@ def q_exponential_x(x, tval, ctx: QContext):
     """E_q as an entire function of (possibly complex) x."""
     if abs(tval) >= 1.0:
         raise DomainError("q_exponential needs |tval| < 1")
-    x = np.asarray(x, dtype=np.complex128)
+    x, h = np.asarray(x, dtype=np.complex128), None
 
     def terms(n):
-        coeff = _tn_over_qn(tval, len(n) - 1, ctx) * ctx.q ** (n * n / 4.0)
-        return coeff.reshape((-1,) + (1,) * x.ndim) * hermite_cq_all(len(n) - 1, x, ctx)
+        nonlocal h
+        h = hermite_cq_all(n[-1], x, ctx, head=h)
+        coeff = _tn_over_qn(tval, n[-1], ctx)[n] * ctx.q ** (n * n / 4.0)
+        return coeff.reshape((-1,) + (1,) * x.ndim) * h[n]
 
     total = settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "q-exponential series")[0]
     ctx2 = ctx.with_q(ctx.q * ctx.q)
@@ -419,11 +444,12 @@ def q_exponential_direct(theta, tval, ctx: QContext):
     q, z = ctx.q, complex(np.exp(1j * theta))
 
     def terms(n):
-        e = (1 - n[:, None]) / 2.0 + n[None, :]
+        k = np.arange(n[-1] + 1)
+        e = (1 - n[:, None]) / 2.0 + k[None, :]
         qe = q ** np.abs(e)
         f = np.where(e < 0, (qe + 1j * z) * (qe + 1j / z), (1.0 + 1j * z * qe) * (1.0 + 1j * qe / z))
-        prod = np.prod(np.where(n[None, :] < n[:, None], f, 1.0), axis=1)
-        coeff = _tn_over_qn(-1j * tval, len(n) - 1, ctx)
+        prod = np.prod(np.where(k[None, :] < n[:, None], f, 1.0), axis=1)
+        coeff = _tn_over_qn(-1j * tval, n[-1], ctx)[n]
         return prod * coeff * q ** (0.25 * (n % 2))
 
     total = settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "direct q-exponential series")[0]

@@ -5,10 +5,13 @@ the live mpmath cross-checks keep to a handful of points so the suite stays
 fast.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qfrac import qcore
 from qfrac.context import QContext
 from qfrac.errors import DivisionNearZero, NonConvergent, SingularLowerParameter
 from qfrac.qcore import (
@@ -19,6 +22,8 @@ from qfrac.qcore import (
     jtp_theta_logq_derivative_series,
     jtp_theta_series,
     qpoch_finite,
+    _euler_coefficients,
+    _peel_count,
     qpoch_infinite,
     qpoch_infinite_tail_bound,
     qpoch_real_index,
@@ -74,13 +79,70 @@ class TestQpochInfinite:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
     def test_tail_bound_honored(self, ctx05):
-        # truncation tail bound plus an allowance for ~N rounding steps
+        # truncation tail bound plus an allowance for ~N rounding steps; the
+        # bound is no looser than the plain product's r / ((1-q)(1-r)),
+        # r = |a| q^N with N the first |a| q^N < eps_trunc
         mp.mp.dps = 30
         rounding = 60 * np.finfo(float).eps
         for a in (0.5, -0.8, 0.9):
             got = qpoch_infinite(a, ctx05)
             ref = complex(mp.qp(mp.mpf(a), mp.mpf("0.5")))
+            r = abs(a) * 0.5 ** (int(np.log(abs(a) / 1e-15) / np.log(2.0)) + 1)
+            assert qpoch_infinite_tail_bound(a, ctx05) <= r / (0.5 * (1 - r))
             assert abs(got - ref) / abs(ref) <= qpoch_infinite_tail_bound(a, ctx05) + rounding
+
+    @pytest.mark.parametrize("q, tol", [(0.3, 1e-15), (0.5, 1e-15), (0.7, 1e-15), (0.9, 5e-15)])
+    def test_against_mpmath_up_to_inverse_q(self, q, tol):
+        # |a| up to 1/q over the full circle of phases, away from the zeros
+        # a = q^-k; the plain product gave 1.9e-15, 2.3e-15, 3.8e-15, 1.3e-14
+        ctx = QContext(q=q)
+        with mp.workdps(40):
+            for mod in np.linspace(0.05, 1.0 / q, 8):
+                for phase in np.linspace(-np.pi, np.pi, 7):
+                    a = mod * np.exp(1j * phase)
+                    ref = complex(mp.qp(mp.mpc(a.real, a.imag), mp.mpf(q)))
+                    if abs(ref) > 1e-3:
+                        assert abs(qpoch_infinite(a, ctx) - ref) <= tol * abs(ref)
+                    assert qpoch_infinite_tail_bound(a, ctx) <= ctx.eps_trunc
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_near_zeros_absolute(self, q):
+        # at a = q^-k (1 + d) the value is tiny; the error stays absolute
+        ctx = QContext(q=q)
+        with mp.workdps(40):
+            for k in (0, 1):
+                for d in (0.0, 1e-13, -1e-13, 1e-9j, 1e-6 * np.exp(0.7j)):
+                    a = q ** (-k) * (1 + d)
+                    ref = complex(mp.qp(mp.mpc(a.real, a.imag), mp.mpf(q)))
+                    assert abs(qpoch_infinite(a, ctx) - ref) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("q, tol", [(0.3, 1e-15), (0.5, 1e-15), (0.7, 1e-15), (0.9, 1e-14)])
+    def test_peak_accuracy(self, q, tol):
+        # a = t e^{i psi} near 1, where a Poisson kernel peaks and 1 - a is
+        # tiny; the plain product gave 1.2e-15 to 5.2e-15 and 1.2e-14 to 1.4e-14
+        ctx = QContext(q=q)
+        with mp.workdps(40):
+            for t in (0.9, 0.99, 0.999):
+                for psi in np.linspace(-1e-3, 1e-3, 9):
+                    a = t * np.exp(1j * psi)
+                    ref = complex(mp.qp(mp.mpc(a.real, a.imag), mp.mpf(q)))
+                    assert abs(qpoch_infinite(a, ctx) - ref) <= tol * abs(ref)
+
+    @pytest.mark.parametrize("q, n_coeffs", [(0.3, 9), (0.5, 10), (0.7, 13), (0.9, 22)])
+    def test_work_budget(self, q, n_coeffs):
+        # Euler coefficients at eps_trunc = 1e-15, and factors peeled for
+        # |a| <= 1; the plain product took 29, 50, 97 and 328 factors
+        assert len(_euler_coefficients(q, 1e-15)) <= n_coeffs
+        assert _peel_count(1.0, q) <= math.ceil(math.log(4.0) / math.log(1.0 / q))
+
+    def test_large_q_stays_accurate(self):
+        # past q = 0.9 the peel radius shrinks with 1 - q, so the series'
+        # cancellation stays bounded
+        ctx = QContext(q=0.97)
+        with mp.workdps(40):
+            for a in (0.999, 0.5 - 0.6j, -1.0):
+                ref = complex(mp.qp(mp.mpc(a.real, a.imag), mp.mpf(0.97)))
+                assert abs(qpoch_infinite(a, ctx) - ref) <= 1e-13 * abs(ref)
 
     def test_nonconvergent(self):
         ctx = QContext(q=0.99, max_terms=16)
@@ -138,6 +200,20 @@ class TestHProduct:
             th = rng.uniform(0.01, np.pi - 0.01)
             assert h_product(th, params, ctx05).real > 0.0
 
+    def test_one_pochhammer_call(self, ctx05, monkeypatch):
+        # every factor of h, and both products of (a; q)_beta, in one call
+        shapes = []
+        orig = qcore.qpoch_infinite
+
+        def counted(a, ctx):
+            shapes.append(np.shape(a))
+            return orig(a, ctx)
+
+        monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+        h_product_z(np.exp(1j * np.linspace(0.0, 3.0, 7)), [0.3, -0.5, 0.2j], ctx05)
+        qpoch_real_index(0.3, 0.5, ctx05)
+        assert shapes == [(6, 7), (2,)]
+
     def test_z_form_symmetry(self, ctx05):
         z = 0.8 * np.exp(0.7j)
         a = h_product_z(z, [0.3, -0.5], ctx05)
@@ -191,6 +267,21 @@ class TestSettledSum:
         got, got_n = settled_sum(lambda n: r**n, 1e-15, 1.0, ctx05, "geometric")
         assert got_n == want_n
         assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("r", [1e-9, 0.05, 0.3, -0.7, 0.5, 0.93])
+    def test_blocks_extend_at_most_twice_the_stop(self, ctx05, r):
+        # each call is the next block of indices, and no more than 2n terms
+        # are evaluated for a stop at n (8 for r = 1e-9, 445 for r = 0.93)
+        blocks = []
+
+        def terms(n):
+            blocks.append(n)
+            return r**n
+
+        _, n_terms = settled_sum(terms, 1e-15, 1.0, ctx05, "geometric")
+        seen = np.concatenate(blocks)
+        assert np.array_equal(seen, np.arange(len(seen)))
+        assert len(seen) <= 2 * n_terms
 
     def test_overflow_past_the_stop_is_ignored(self):
         # the sum stops near m = 20; z^-31 = inf later in the first block

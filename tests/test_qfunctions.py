@@ -1,5 +1,6 @@
 """Polynomial families, weights, bases and the q-exponential."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -66,6 +67,13 @@ class TestHermite:
             assert np.allclose(batch[n], [hermite_cq(n, x, ctx05) for x in xs])
 
 
+    def test_head_is_continued_exactly(self, ctx05):
+        xs = np.array([0.3, -0.9 + 0.2j])
+        head = hermite_cq_all(15, xs, ctx05)
+        assert np.array_equal(hermite_cq_all(40, xs, ctx05, head=head),
+                              hermite_cq_all(40, xs, ctx05))
+
+
 class TestWeight:
     def test_endpoint_domain_error(self, ctx05):
         with pytest.raises(DomainError):
@@ -124,6 +132,53 @@ class TestPoisson:
             for j, th in enumerate(thetas):
                 want = poisson_kernel(th, ph, -0.35, ctx05, form="series")
                 assert got[i, j] == pytest.approx(want, rel=1e-10)
+
+    @staticmethod
+    def _four_products(zeta, z, t, ctx):
+        """The kernel with all four denominator products in one call."""
+        zeta, z = zeta.reshape(len(zeta), -1), z[None, :]
+        tz, t_z, inv = t * z, t / z, 1.0 / zeta
+        args = np.stack((zeta * tz, inv * tz, zeta * t_z, inv * t_z))
+        return qpoch_infinite(t * t, ctx) / np.prod(qpoch_infinite(args, ctx), axis=0)
+
+    @pytest.mark.parametrize("t", [0.3, 0.84, 0.9, -0.6])
+    def test_conjugate_pairs_match_four_products(self, ctx05, t):
+        # 1025 shared nodes (one of them on the peak of z_8), and per-z nodes
+        phis = np.linspace(0.0, np.pi, 1025)
+        thetas = theta_grid(17)
+        z = np.exp(1j * thetas)
+        for zeta in (np.exp(1j * phis), np.exp(1j * (phis[:, None] + 0.01 * thetas))):
+            got = poisson_kernel_z(zeta, z, t, ctx05)
+            want = self._four_products(zeta, z, t, ctx05)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1.2e-14
+
+    @pytest.mark.parametrize("t", [0.99, 0.999])
+    def test_conjugate_pairs_at_the_peaks(self, ctx05, t):
+        # near phi = theta both forms lose digits as eps / (1 - t); against
+        # 40-digit mpmath at the nodes' angles the pairs stay within 4 eps / (1 - t)
+        phis = np.linspace(0.0, np.pi, 1025)
+        thetas = theta_grid(5)
+        got = poisson_kernel_z(np.exp(1j * phis), np.exp(1j * thetas), t, ctx05)
+        with mp.workdps(40):
+            tt, qq = mp.mpf(t), mp.mpf(ctx05.q)
+            for j, th in enumerate(thetas):
+                zz = mp.expj(mp.mpf(th))
+                for i in range(round(th / np.pi * 1024) - 4, round(th / np.pi * 1024) + 5):
+                    ze = mp.expj(mp.mpf(phis[i]))
+                    want = complex(mp.qp(tt * tt, qq) / (
+                        mp.qp(tt * ze * zz, qq) * mp.qp(tt * zz / ze, qq)
+                        * mp.qp(tt * ze / zz, qq) * mp.qp(tt / (ze * zz), qq)))
+                    assert abs(got[i, j] - want) <= 4 * np.finfo(float).eps / (1 - t) * abs(want)
+
+    def test_off_circle_takes_four_products(self, ctx05):
+        # D_q's |z| = q^{+-1/2}, the Richardson points z(1 +- delta), and a
+        # complex t on the circle
+        zeta = np.exp(1j * np.linspace(0.0, np.pi, 65))
+        z0, rq = np.exp(1j * theta_grid(5)), np.sqrt(ctx05.q)
+        for z, t in ((rq * z0, 0.7), (z0 / rq, 0.7), (z0 * (1 + 1e-6), 0.7),
+                     (z0 * (1 - 5e-7), 0.7), (z0, 0.5 + 0.2j)):
+            got = poisson_kernel_z(zeta, z, t, ctx05)
+            assert np.array_equal(got, self._four_products(zeta, z, t, ctx05))
 
     def test_positivity(self, ctx05, rng):
         for _ in range(10):

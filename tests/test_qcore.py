@@ -15,6 +15,8 @@ from qfrac import qcore
 from qfrac.context import QContext
 from qfrac.errors import DivisionNearZero, NonConvergent, SingularLowerParameter
 from qfrac.qcore import (
+    _euler_coefficients,
+    _peel_count,
     bhs_terminating,
     euler_product,
     h_product,
@@ -22,8 +24,6 @@ from qfrac.qcore import (
     jtp_theta_logq_derivative_series,
     jtp_theta_series,
     qpoch_finite,
-    _euler_coefficients,
-    _peel_count,
     qpoch_infinite,
     qpoch_infinite_tail_bound,
     qpoch_real_index,

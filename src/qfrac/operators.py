@@ -14,7 +14,7 @@ the kernel's peak at phi = |arg z| with its poles' distance from the contour,
 for each z, the poles of the operand's 1/h factor, and the operand's annulus.
 So at moderate t = q^{a/2}, q^{1/2} or r they run the periodic trapezoid
 rule, and at t near 1, or with the operand's poles near the contour, the
-sinh-mapped Gauss-Legendre rule split at the peaks and the poles (see
+sinh-mapped Clenshaw-Curtis rule split at the peaks and the poles (see
 quadrature).  An integral that does not converge raises NonConvergent; no
 operator returns an unconverged value.
 

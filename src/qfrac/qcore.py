@@ -167,8 +167,9 @@ def qpoch_infinite_tail_bound(a, ctx: QContext) -> float:
     return _euler_tail(x, len(_euler_coefficients(ctx.q, ctx.eps_trunc)), ctx.q)
 
 
+@functools.lru_cache(maxsize=64)
 def euler_product(ctx: QContext) -> float:
-    """(q; q)_oo for the context base."""
+    """(q; q)_oo for the context base, computed once per context."""
     return float(np.real(qpoch_infinite(ctx.q, ctx)))
 
 

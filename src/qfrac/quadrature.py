@@ -1,24 +1,29 @@
-"""Quadrature on [0, pi]: a periodic trapezoid rule and Gauss-Legendre,
-plain or sinh-mapped at stated singularities.
+"""Quadrature on [0, pi]: one nested rule, the periodic trapezoid rule or
+Clenshaw-Curtis, plain or sinh-mapped at stated singularities.
+
+Every rule evaluates f at the angles t_j = pi j / M, j = 0..M: the
+trapezoid rule at phi = t_j, Clenshaw-Curtis at s = cos t_j under a map of
+[-1, 1] onto [0, pi].  The nodes of M are the even-indexed nodes of 2M, so
+one loop doubles M from 16 to one cap, 8192, evaluating only the new odd
+nodes and reweighting the values kept, until two successive rules agree.
 
 Integrands that are even, 2pi-periodic and analytic in the strip
 |Im phi| < b (every Poisson-kernel integral) may state b.  When the rule size
-that b predicts fits under a fixed cap, they get the trapezoid rule on the
-nodes pi j / M, whose error falls like e^{-2bM} (Trefethen & Weideman,
-SIAM Rev. 56 (2014) 385-458).  M doubles from 16, each step evaluating only
-the new odd nodes, until two successive rules agree.
+that b predicts fits under the cap, they get the trapezoid rule, whose error
+falls like e^{-2bM} (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).
 
 Such integrands also state where their nearest singularities sit: poles
 that every component shares (the 1/h factors of an operand), each a centre
 on [0, pi] and a distance from the contour, and per component a peak (the
 Poisson kernel as t -> 1).  When b is too narrow for the trapezoid rule,
 [0, pi] is split at those centres, each gap is halved, and each piece gets
-Gauss-Legendre under the sinh map of Johnston & Elliott (IJNME 62 (2005)
+Clenshaw-Curtis under the sinh map of Johnston & Elliott (IJNME 62 (2005)
 564-578) toward its own centre, which clusters the nodes there on the scale
-of the distance.  The nodes are shared by every component when the poles
-alone leave room, and per component otherwise.  An integrand that states
-nothing gets Gauss-Legendre on [0, pi].  Every Gauss-Legendre rule doubles
-M from 16 until two successive rules agree.
+of the distance; with poles that near, Clenshaw-Curtis is about as accurate
+per node as Gauss-Legendre (Trefethen, SIAM Rev. 50 (2008) 67-87).  The
+nodes are shared by every component when the poles alone leave room, and
+per component otherwise.  An integrand that states nothing gets
+Clenshaw-Curtis on [0, pi].
 
 All rules share one convergence test: every component's error estimate
 is at most quad_rel_tol * max(|value|, L1 mass), the mass being the integral
@@ -65,9 +70,10 @@ class QuadResult:
     quad_rel_tol * max(|value|, L1 mass); converged means err_ratio <= 1 and
     the rule stopped on that test, not on a size cap.  err_est is the
     largest absolute estimate.  value is complex for scalar integrands, an
-    ndarray for vector ones.  evals counts the nodes f was called on; the
-    sinh-mapped rule per component gives every component nodes of its own,
-    and each of those counts once.
+    ndarray for vector ones.  evals counts the nodes f was called on, each
+    once: pieces x (M + 1) for a rule that stopped at M.  The sinh-mapped
+    rule per component gives every component nodes of its own, and each of
+    those counts once.
     """
 
     value: object
@@ -94,110 +100,99 @@ def _err_ratio(err, value, mass, ctx: QContext) -> float:
     return float(np.max(err / (ctx.quad_rel_tol * scale)))
 
 
-# Periodic trapezoid rule.  M starts at _TRAP_M0 and stops at the cap
-# _TRAP_MAX_M.  After the first call (the _TRAP_M0 + 1 starting nodes) one f
-# call gets at most _TRAP_BLOCK nodes x components, which bounds the memory
-# of a call.
-_TRAP_M0 = 16
-_TRAP_MAX_M = 8192
-_TRAP_BLOCK = 4096
-
-
-def _block_sums(f, x, per_call, w=None):
-    """Sums over the leading axis of w f(x) and |w f(x)|, f called on blocks
-    of per_call rows of x (w = None weighs every node 1, and w of x's shape
-    weighs every component of f at its node), and the number of components
-    of f."""
-    total = l1 = 0.0
-    for i in range(0, len(x), per_call):
-        fx = np.asarray(f(x[i:i + per_call]), dtype=np.complex128)
-        if w is not None:
-            wi = w[i:i + per_call]
-            fx = wi.reshape(wi.shape + (1,) * (fx.ndim - wi.ndim)) * fx
-        total = total + fx.sum(axis=0)
-        l1 = l1 + np.abs(fx).sum(axis=0)
-    eval_counter.n += x.size
-    return total, l1, fx[0].size
-
-
-def _trapezoid(f, ctx: QContext) -> QuadResult:
-    """Trapezoid rule for an even 2pi-periodic f: half of the rule on
-    [0, 2pi], so the end nodes 0 and pi weigh 1/2.  Converged once
-    |I_2M - I_M| meets the shared test; at the cap M = _TRAP_MAX_M it stops
-    with converged=False."""
-    m = _TRAP_M0
-    w = np.ones(m + 1)
-    w[[0, -1]] = 0.5
-    total, l1, cols = _block_sums(f, np.pi * np.arange(m + 1) / m, m + 1, w)
-    per_call = max(1, _TRAP_BLOCK // cols)
-    value = np.pi / m * total
-    evals = m + 1
-    while True:
-        new, new_l1, _ = _block_sums(f, np.pi * (2 * np.arange(m) + 1) / (2 * m), per_call)
-        evals += m
-        m *= 2
-        total, l1 = total + new, l1 + new_l1
-        prev, value = value, np.pi / m * total
-        err = np.abs(np.atleast_1d(value - prev))
-        ratio = _err_ratio(err, np.atleast_1d(value), np.atleast_1d(np.pi / m * l1), ctx)
-        if ratio <= 1.0 or m >= _TRAP_MAX_M:
-            return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
-
-
-# Gauss-Legendre rules: M nodes per piece, doubling from _GL_M0 to the cap
-# _GL_MAX_M; the first rule goes to f in one call, and later ones in blocks of
-# at most _TRAP_BLOCK nodes x components.  The sinh-mapped rule's size is
-# predicted from its stated singularities and from _SINH_SAMPLES points of the
-# line |Im phi| = strip above each piece; a mapped piece reaches _SINH_REACH
-# times that line's distance from its point.
-_GL_M0 = 16
-_GL_MAX_M = 4096
+# M doubles from _M0 to the cap _MAX_M.  After the first call (the _M0 + 1
+# starting nodes per piece) one f call gets at most _BLOCK nodes x
+# components, which bounds the memory of a call.  The sinh-mapped
+# rule's size is predicted from its stated singularities and from
+# _SINH_SAMPLES points of the line |Im phi| = strip above each piece; a
+# mapped piece reaches _SINH_REACH times that line's distance from its point.
+_M0 = 16
+_MAX_M = 8192
+_BLOCK = 4096
 _SINH_SAMPLES = 64
 _SINH_REACH = 4.0
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(m: int):
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]:
-    Newton's method on the three-term recurrence of P_m, from the
-    asymptotic guesses cos(pi (k - 1/4) / (m + 1/2))."""
-    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
-    for _ in range(100):
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, m + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = m * (x * p - p_prev) / (x * x - 1.0)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+def _make_level(m: int, points, w):
+    """points(t) at the angles t = pi j / m new at level m (every j at _M0,
+    the odd j above it) and the weights w of all m + 1 nodes, read-only."""
+    x = points(np.pi * (np.arange(m + 1) if m == _M0 else np.arange(1, m, 2)) / m)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _gl(f, nodes, ctx: QContext) -> QuadResult:
-    """Gauss-Legendre with M doubling: nodes(s, w) maps the M-point rule on
-    [-1, 1] to the nodes and weights on [0, pi].  Converged once |I_2M - I_M|
-    meets the shared test; at the cap M = _GL_MAX_M it stops with
-    converged=False."""
-    m, prev, evals, per_call = _GL_M0, None, 0, None
+@functools.lru_cache(maxsize=None)
+def _trapezoid(m: int):
+    """Level m of the trapezoid rule for an even 2pi-periodic f: half of the
+    rule on [0, 2pi], so the end nodes 0 and pi weigh 1/2."""
+    w = np.full(m + 1, np.pi / m)
+    w[[0, -1]] *= 0.5
+    return _make_level(m, np.asarray, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _clenshaw_curtis(m: int):
+    """Level m of Clenshaw-Curtis on [-1, 1], nodes cos t_j and weights
+    w_j = (c_j/m)(1 - sum_{k=1}^{m/2} b_k cos(2k t_j)/(4k^2 - 1)),
+    c_j = 1 at the ends and 2 elsewhere, b_k = 1 at k = m/2 and 2 elsewhere.
+    The sum runs over k for j <= m/2 (w is symmetric), reading cos(2k t_j)
+    at the index kj mod m of one table, in O(m) memory."""
+    h = m // 2
+    j = np.arange(h + 1)
+    cos = np.cos(2.0 * np.pi * np.arange(m) / m)
+    s, kj = np.ones(h + 1), np.zeros(h + 1, dtype=np.int64)
+    for k in range(1, h + 1):
+        kj += j
+        kj %= m
+        s -= (1.0 if k == h else 2.0) / (4.0 * k * k - 1.0) * cos[kj]
+    w = np.concatenate((s, s[-2::-1])) * (2.0 / m)
+    w[[0, -1]] *= 0.5
+    return _make_level(m, np.cos, w)
+
+
+def _nested(f, level, nodes, ctx: QContext) -> QuadResult:
+    """The rule level(M), M doubling from _M0: level(M) gives the points new
+    at M and the weights of all M + 1 points, and nodes(p) maps points to
+    the nodes on [0, pi], of shape (len(p), pieces, ...), and gives the
+    map's derivative there, of that shape or a scalar.  f sees each node
+    once: the values new at M fill the odd indices between those of M/2,
+    and M's weights sum them all.  Converged once |I_M - I_{M/2}| meets the
+    shared test; at the cap M = _MAX_M it stops with converged=False."""
+    m, per_call, evals, g, prev = _M0, None, 0, None, None
     while True:
-        x, wt = nodes(*_gauss_legendre(m))
-        value, l1, cols = _block_sums(f, x, per_call or len(x), wt)
-        per_call = max(1, _TRAP_BLOCK // cols)
+        p, w = level(m)
+        x, jac = nodes(p)
+        rows = x.reshape((-1,) + x.shape[2:])
+        step = per_call or len(rows)
+        fx = np.concatenate([np.asarray(f(rows[i:i + step]), dtype=np.complex128)
+                             for i in range(0, len(rows), step)])
+        per_call = max(1, _BLOCK // fx[0].size)
         evals += x.size
+        eval_counter.n += x.size
+        fx = fx.reshape(x.shape[:2] + fx.shape[1:])
+        fx = (jac if np.ndim(jac) in (0, fx.ndim) else jac[..., None]) * fx
+        rest, fx = fx.shape[2:], fx.reshape(fx.shape[:2] + (-1,))
+        new = np.concatenate((fx.view(np.float64), np.abs(fx)), axis=2)
+        if g is None:
+            g = new
+        else:
+            g, old = np.empty((m + 1,) + new.shape[1:]), g
+            g[::2], g[1::2] = old, new
+        sums = np.einsum("j,jpk->k", w, g)  # real and imaginary parts, then |.|
+        value = sums[:-fx.shape[2]].view(np.complex128).reshape(rest)[()]
+        l1 = sums[-fx.shape[2]:].reshape(rest)
         if prev is not None:
             err = np.abs(value - prev)
             ratio = _err_ratio(err, value, l1, ctx)
-            if ratio <= 1.0 or m >= _GL_MAX_M:
+            if ratio <= 1.0 or m >= _MAX_M:
                 return QuadResult(value, float(np.max(err)), evals, ratio <= 1.0, ratio)
         prev, m = value, 2 * m
 
 
 def _bernstein_rho(s):
     """rho of the Bernstein ellipse through s, the foci being -1 and 1:
-    Gauss-Legendre on [-1, 1] loses a factor rho^2 per node to a pole at s."""
+    Gauss-Legendre on [-1, 1] loses a factor rho^2 per node to a pole at s,
+    and Clenshaw-Curtis about as much while rho is near 1."""
     root = np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
     return np.maximum(np.abs(s + root), np.abs(s - root))
 
@@ -231,15 +226,13 @@ def _sinh_pieces(centre, dist, line):
 
 
 def _sinh_nodes(pieces):
-    """nodes(s, w) for _gl: the rule on every piece of _sinh_pieces."""
-    anchor, sign, width, span = (p[:, None] for p in pieces)
+    """nodes(s) for _nested: the points s of [-1, 1] on every piece of
+    _sinh_pieces, and the map's derivative there."""
+    anchor, sign, width, span = (p[None] for p in pieces)
 
-    def nodes(s, w):
-        shape = (1, -1) + (1,) * (anchor.ndim - 2)
-        v = 0.5 * span * (1.0 + s.reshape(shape))
-        x = anchor + sign * width * np.sinh(v)
-        wt = 0.5 * span * w.reshape(shape) * width * np.cosh(v)
-        return x.reshape((-1,) + x.shape[2:]), wt.reshape((-1,) + wt.shape[2:])
+    def nodes(s):
+        v = 0.5 * span * (1.0 + s.reshape((-1,) + (1,) * (span.ndim - 1)))
+        return anchor + sign * width * np.sinh(v), 0.5 * span * width * np.cosh(v)
 
     return nodes
 
@@ -274,8 +267,8 @@ def integrate_theta(f, ctx: QContext, strip: float | None = None, peaks=None,
     leading dimension; a trailing dimension of size B makes the quadrature
     vector valued.
 
-    strip=None is the general case: Gauss-Legendre on [0, pi] with M
-    doubling from 16 to 4096; peaks and poles are read only with a strip.
+    strip=None is the general case: Clenshaw-Curtis on [0, pi]; peaks and
+    poles are read only with a strip.
 
     strip, when given, states that f is even, 2pi-periodic and analytic for
     |Im phi| < strip apart from the singularities stated with it (math.inf
@@ -289,21 +282,22 @@ def integrate_theta(f, ctx: QContext, strip: float | None = None, peaks=None,
     1. the trapezoid rule, whose error falls like e^{-2 b M}: it meets
        quad_rel_tol near M_pred = ln(1 / quad_rel_tol) / (2 b), and the
        doubling that shows it, comparing I_M with I_{M/2}, comes near 2 to
-       4 M_pred.  It runs when 4 M_pred is at most half its cap _TRAP_MAX_M;
-    2. else, with poles stated, Gauss-Legendre on nodes shared by every
+       4 M_pred.  It runs when 4 M_pred is at most half the cap _MAX_M;
+    2. else, with poles stated, Clenshaw-Curtis on nodes shared by every
        component, [0, pi] split at the pole centres and each piece mapped
        toward its pole, the peaks counting as a line at the smallest width;
     3. else, with peaks stated, the same rule per component, split at its
        peak and at the poles.
 
     A sinh-mapped rule runs when 4 times its predicted M (_sinh_m_pred) is
-    at most half its cap _GL_MAX_M; failing both, the last one stated runs
-    to its cap.  So only a singularity stated farther off than the true one
-    reaches a cap.  No rule raises on failure: a size cap is reported as
+    at most half the cap; failing both, the last one stated runs to the
+    cap.  So only a singularity stated farther off than the true one
+    reaches the cap.  No rule raises on failure: the cap is reported as
     converged=False on the best available value (see converged_value).
     """
     if strip is None:
-        return _gl(f, lambda s, w: (0.5 * np.pi * (1.0 + s), 0.5 * np.pi * w), ctx)
+        half = 0.5 * np.pi
+        return _nested(f, _clenshaw_curtis, lambda s: (half * (1.0 + s[:, None]), half), ctx)
     pc, pd = np.asarray(poles, dtype=np.float64).reshape(-1, 2).T
     line, rules = strip, []  # each rule: its points and the line left unanchored
     if peaks is not None:
@@ -316,10 +310,10 @@ def integrate_theta(f, ctx: QContext, strip: float | None = None, peaks=None,
         rules.insert(0, (pc, pd, line))
     near = min(line, float(np.min(pd, initial=math.inf)))
     m_pred = math.log(1.0 / ctx.quad_rel_tol) / (2.0 * near) if near > 0 else math.inf
-    if 4.0 * m_pred <= _TRAP_MAX_M / 2 or not rules:
-        return _trapezoid(f, ctx)
+    if 4.0 * m_pred <= _MAX_M / 2 or not rules:
+        return _nested(f, _trapezoid, lambda t: (t[:, None], 1.0), ctx)
     for centre, dist, line in rules:
         pieces = _sinh_pieces(centre, dist, line)
-        if 4.0 * _sinh_m_pred(pieces, centre, dist, line, ctx) <= _GL_MAX_M / 2:
+        if 4.0 * _sinh_m_pred(pieces, centre, dist, line, ctx) <= _MAX_M / 2:
             break
-    return _gl(f, _sinh_nodes(pieces), ctx)
+    return _nested(f, _clenshaw_curtis, _sinh_nodes(pieces), ctx)

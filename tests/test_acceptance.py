@@ -9,6 +9,7 @@ summed wall-clock of the criterion's own cases.
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -157,6 +158,29 @@ def test_criterion_7_section7(suite_reports):
     assert all(r.status == "pass" and r.residual.max_rel <= 1e-6 for r in kern)
     _crit_line(7, "section-7 family I17-I23", True,
                f"worst={_worst(ran + shift + kern):.2e}")
+
+
+# Total integrand evaluations per identity id over the default grid, with
+# every quadrature rule nested (each node evaluated once).  A change may
+# lower a budget, never raise it.
+_EVALS_BUDGET = {
+    "I0a": 163, "I0b": 0, "I0c": 588, "I0d": 0, "I1": 36269, "I2": 44422,
+    "I3": 46188, "I4": 40640, "I5": 28706, "I6": 4731, "I7": 72420, "I8": 8292,
+    "I9": 1353, "I10": 2313, "I11": 902, "I12": 4400, "I13": 2313, "I14": 2313,
+    "I15": 2313, "I16": 12410, "I17": 7249, "I18": 36981, "I19": 4991,
+    "I20": 2418, "I21": 777, "I22": 585, "I23": 390,
+}
+
+
+def test_work_budget(suite_reports):
+    """Each identity id's total evals over the default grid within its budget."""
+    totals = Counter()
+    for r in suite_reports:
+        totals[r.case.id] += r.evals
+    over = {i: (n, _EVALS_BUDGET.get(i, 0)) for i, n in totals.items()
+            if n > _EVALS_BUDGET.get(i, 0)}
+    _crit_line("W", "work budget", not over, f"{sum(totals.values())} evals")
+    assert not over
 
 
 def test_criterion_8_determinism(tmp_path):

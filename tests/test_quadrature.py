@@ -9,6 +9,7 @@ from qfrac.context import QContext
 from qfrac.errors import NonConvergent
 from qfrac.qcore import h_poles, h_product_z, qpoch_infinite
 from qfrac.qfunctions import poisson_kernel_z, theta_grid, weight_wH_sin
+from qfrac import quadrature
 from qfrac.quadrature import converged_value, integrate_theta
 
 
@@ -101,8 +102,8 @@ class TestIntegrateTheta:
         assert v[2] == pytest.approx(1e-5 * np.pi / 2.0, rel=1e-10)
 
     def test_size_cap_reports_not_converged(self):
-        # a pole 1e-3 from the axis, not stated: plain Gauss-Legendre would
-        # need M ~ 10^4 and stops at its cap
+        # a pole 1e-3 from the axis, not stated: plain Clenshaw-Curtis would
+        # need M ~ 10^4 and stops at the cap
         ctx = QContext(q=0.5, quad_rel_tol=1e-14)
 
         def igr(phis):
@@ -110,6 +111,7 @@ class TestIntegrateTheta:
 
         r = integrate_theta(igr, ctx)
         assert not r.converged and r.err_ratio > 1.0
+        assert r.evals == quadrature._MAX_M + 1
 
     def test_refinement_monotonicity(self):
         # the pole stated: the trapezoid rule at the wider beta, the
@@ -160,6 +162,7 @@ class TestTrapezoid:
 
         r = integrate_theta(igr, ctx05, strip=1.0)
         assert not r.converged and r.err_ratio > 1.0
+        assert r.evals == quadrature._MAX_M + 1
         with pytest.raises(NonConvergent, match="did not converge"):
             converged_value(r, "1/(a - cos)")
 
@@ -181,6 +184,7 @@ class TestSinhGL:
         r = integrate_theta(lambda phis: _lorentz_pair(phis, centre, 1e-9), ctx05,
                             strip=math.inf, peaks=(centre, np.array([1e-2])))
         assert not r.converged and r.err_ratio > 1.0
+        assert r.evals % (quadrature._MAX_M + 1) == 0
         with pytest.raises(NonConvergent, match="did not converge"):
             converged_value(r, "peaked pair")
 
@@ -214,3 +218,48 @@ class TestSinhGL:
         want = np.pi / m * (fx.sum() - 0.5 * (fx[0] + fx[-1]))
         assert r.converged and r.evals < 4000
         assert abs(complex(r.value) / want - 1.0) < 1e-11
+
+
+class TestNestedRule:
+    @pytest.mark.parametrize("rule", ("trapezoid", "shared", "per_component"))
+    def test_every_node_evaluated_once(self, ctx05, rule):
+        # a rule that stops at M has called f on pieces x (M + 1) nodes (per
+        # component), M a power of two >= 16: each node of M/2 is kept, not
+        # evaluated again; the first call gets the 17 nodes of every piece
+        centre, beta = np.array([0.0, 1.3, np.pi]), np.array([1e-3, 1e-4, 2e-3])
+        igr, kw = {
+            "trapezoid": (lambda phis: _lorentz_pair(phis, 1.1, 0.5),
+                          {"poles": [(1.1, 0.5)]}),
+            "shared": (lambda phis: _lorentz_pair(phis, 1.3, 1e-4),
+                       {"poles": [(1.3, 1e-4)]}),
+            "per_component": (lambda phis: _lorentz_pair(phis, centre, beta),
+                              {"peaks": (centre, beta)}),
+        }[rule]
+        calls = []
+
+        def spy(phis):
+            calls.append(np.shape(phis))
+            return igr(phis)
+
+        r = integrate_theta(spy, ctx05, strip=math.inf, **kw)
+        assert r.converged
+        assert r.evals == sum(math.prod(c) for c in calls)
+        pieces, rem = divmod(calls[0][0], quadrature._M0 + 1)
+        cols = math.prod(calls[0][1:])
+        assert rem == 0 and (pieces == 1) == (rule == "trapezoid")
+        m = r.evals // (pieces * cols) - 1
+        assert r.evals == pieces * (m + 1) * cols
+        assert m >= 16 and m & (m - 1) == 0
+
+    @pytest.mark.parametrize("m", (16, 256, 8192))
+    def test_clenshaw_curtis_weights_exact(self, m):
+        # the weights of M sum to 2 and integrate x^d exactly for d <= M
+        _, w = quadrature._clenshaw_curtis(m)
+        x = np.cos(np.pi * np.arange(m + 1) / m)
+        assert abs(w.sum() - 2.0) <= 1e-14
+        power, worst = np.ones(m + 1), 0.0
+        for d in range(m + 1):
+            want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            worst = max(worst, abs(w @ power - want))
+            power *= x
+        assert worst <= 1e-14

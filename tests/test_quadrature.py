@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qfrac import quadrature
 from qfrac.context import QContext
 from qfrac.errors import NonConvergent
 from qfrac.qcore import h_poles, h_product_z, qpoch_infinite
 from qfrac.qfunctions import poisson_kernel_z, theta_grid, weight_wH_sin
-from qfrac import quadrature
 from qfrac.quadrature import converged_value, integrate_theta
 
 

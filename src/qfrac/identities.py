@@ -26,6 +26,7 @@ from .context import QContext
 from .errors import CaseInvalid, ParamDomain, QFracError
 from .qcore import (
     bhs_terminating,
+    euler_product,
     h_poles,
     h_product_z,
     jtp_theta_series,
@@ -41,8 +42,8 @@ from .qfunctions import (
     aw_polynomial_x,
     aw_weight,
     hermite_cq_all,
+    poisson_factors,
     poisson_kernel,
-    poisson_kernel_z,
     q_exponential,
     q_exponential_x,
     theta_grid,
@@ -224,10 +225,10 @@ def _run_I0c(params, variant, ctx, tol):
     """Askey-Wilson integral: quadrature == closed form over |a_j| <= 0.6."""
     lhs, rhs = [], []
     for quad in _I0C_QUADS:
-        def igr(phis, quad=quad):
-            return weight_wH_sin(phis, ctx) / np.asarray(
-                h_product_z(np.exp(1j * phis), [a for a in quad if a != 0.0], ctx)
-            )
+        factors = poisson_factors((), 0.0, (), [a for a in quad if a != 0.0], ctx)
+
+        def igr(phis, factors=factors):
+            return factors(np.exp(1j * phis))[0][:, 0]
 
         res = integrate_theta(igr, ctx, strip=math.inf, poles=h_poles(quad))
         lhs.append(complex(converged_value(res, f"Askey-Wilson integral {quad}")))
@@ -592,35 +593,37 @@ def section6_constants(n, a: float, c: float, a3, a4, ctx: QContext):
                                AWParams(-1.0 / c, -c * ctx.q, a3, a4), _c6(a, n, ctx), ctx)
 
 
-def _w0(ths, t_shift: AWParams, h_params, ctx: QContext):
-    """w(cos theta; t_shift) h(cos theta; h_params)^2, the coupling weight of
-    the bilinear kernels (h^2 cancels two of w's poles)."""
-    return aw_weight(ths, t_shift, ctx) * np.asarray(
-        h_product_z(np.exp(1j * ths), h_params, ctx)
-    ) ** 2
+def _coupling_factors(z, s, t_shift: AWParams, ctx: QContext):
+    """poisson_factors of the coupling integrals at the points z and t = s:
+    2pi / (q; q)_oo times their node factor is the coupling weight
+    w0 = w(cos theta; t_shift) h(cos theta; t_shift.t1, t_shift.t2)^2
+       = (e^{+-2i theta}; q)_oo h(cos theta; t_shift.t1, t_shift.t2)
+         / h(cos theta; t_shift.t3, t_shift.t4),
+    the h^2 cancelling two of w's four h factors."""
+    return poisson_factors(z, s, (t_shift.t1, t_shift.t2), (t_shift.t3, t_shift.t4), ctx)
 
 
-def _bilinear_kernel(phi1, phi2, h_params, t_shift: AWParams, w0_h, s, t_base: AWParams,
+def _bilinear_kernel(phi1, phi2, h_params, t_shift: AWParams, s, t_base: AWParams,
                      ctx: QContext) -> complex:
     """[w_H sin phi1 / h(phi1; h_params)] [w_H sin phi2 / h(phi2; h_params)]
     / w(phi2; t_base) * integral_0^pi w0(theta) P_s(theta, phi1) P_s(theta, phi2) dtheta
-    with w0 = _w0(., t_shift, w0_h) and P_s the q-Hermite Poisson kernel: the
-    kernel of both bilinear formulas.  The integrand's poles are the
-    kernels' peaks, at theta = |arg(s e^{i phi_k})| and |Im theta| = -ln|s|,
-    and those w0 keeps, of 1/h(cos theta; t_shift.t3, t_shift.t4)."""
-    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    br1 = weight_wH_sin(phi1, ctx) / complex(h_product_z(z1, h_params, ctx))
-    br2 = weight_wH_sin(phi2, ctx) / complex(h_product_z(z2, h_params, ctx))
-    zpair = np.array([z1, z2])
+    with w0 the coupling weight of _coupling_factors and P_s the q-Hermite
+    Poisson kernel: the kernel of both bilinear formulas.  The integrand's
+    poles are the kernels' peaks, at theta = |arg(s e^{i phi_k})| and
+    |Im theta| = -ln|s|, and those w0 keeps, of 1/h(cos theta; t_shift.t3,
+    t_shift.t4)."""
+    zpair = np.exp(1j * np.array([phi1, phi2]))
+    br1, br2 = poisson_factors((), 0.0, (), h_params, ctx)(zpair)[0][:, 0]
+    factors = _coupling_factors(zpair, s, t_shift, ctx)
 
     def igr(ths):
-        return _w0(ths, t_shift, w0_h, ctx) * np.prod(
-            poisson_kernel_z(np.exp(1j * ths), zpair, s, ctx), axis=1)
+        node, kernels = factors(np.exp(1j * ths))
+        return node[:, 0] * kernels[:, 0] * kernels[:, 1]
 
     res = integrate_theta(igr, ctx, strip=math.inf,
-                          poles=h_poles([s * z1, s * z2, t_shift.t3, t_shift.t4]))
+                          poles=h_poles([s * zpair[0], s * zpair[1], t_shift.t3, t_shift.t4]))
     inner = complex(converged_value(res, f"coupling integral at s={s:.6g}"))
-    return br1 * br2 * inner / aw_weight(phi2, t_base, ctx)
+    return br1 * br2 * (2.0 * np.pi / euler_product(ctx)) * inner / aw_weight(phi2, t_base, ctx)
 
 
 def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
@@ -642,8 +645,7 @@ def bilinear_kernel_6(phi1: float, phi2: float, p: op.KParams, a3, a4,
                     (c * q ** (1.0 + a / 2.0), "c q^{1+a/2}")):
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in w_0")
-    tsh = _shift6(a, c, a3, a4, q)
-    return _bilinear_kernel(phi1, phi2, [-1.0 / c, -c * q], tsh, [tsh.t2, tsh.t1],
+    return _bilinear_kernel(phi1, phi2, [-1.0 / c, -c * q], _shift6(a, c, a3, a4, q),
                             q ** (a / 2.0), AWParams(-1.0 / c, -c * q, a3, a4), ctx)
 
 
@@ -652,10 +654,13 @@ def _bilinear_series(phi1: float, phi2: float, constants, t: AWParams,
     """sum_n A_n (C_n / B_n)^2 p_n(phi1; t) p_n(phi2; t), (A_n, B_n, C_n) =
     constants(n) for an array of n, settled with tolerance tol and floor
     _FLOOR; returns (value, n_terms)."""
+    x, p = np.cos([phi1, phi2]), None
+
     def terms(n):
+        nonlocal p
         An, Bn, Cn = constants(n)
-        p = aw_polynomial_all(n[-1], np.cos([phi1, phi2]), t, ctx)[n]
-        return An * (Cn / Bn) ** 2 * p[:, 0] * p[:, 1]
+        p = aw_polynomial_all(n[-1], x, t, ctx, head=p)
+        return An * (Cn / Bn) ** 2 * p[n, 0] * p[n, 1]
 
     value, n_terms = settled_sum(terms, tol, _FLOOR, ctx, "bilinear series")
     return complex(value), n_terms
@@ -698,27 +703,26 @@ def _run_I16(params, variant, ctx, tol):
 
     # reduced triple integral: Itilde_n(theta) through the same Poisson kernel
     def itilde(n, thetas):
-        def g(phis):
-            return aw_polynomial(n, phis, t_base, ctx) / np.asarray(
-                h_product_z(np.exp(1j * phis), [-1.0 / c, -c * q], ctx))
-
         zv = np.exp(1j * np.atleast_1d(thetas))
-        res = op.poisson_integral(q ** (a / 2.0), g, math.inf, zv, 1.0, ctx,
-                                  h_poles([-1.0 / c, -c * q]))
+        res = op.poisson_integral(q ** (a / 2.0),
+                                  lambda zeta: aw_polynomial_x(n, zeta.real, t_base, ctx),
+                                  [-1.0 / c, -c * q], math.inf, zv, 1.0, ctx)
         return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
 
     tsh = _shift6(a, c, a3, a4, q)
+    w0 = _coupling_factors((), 0.0, tsh, ctx)
 
     def triple(m, n):
         def igr(ths):
             i_n = itilde(n, ths)
             i_m = i_n if m == n else itilde(m, ths)
-            return _w0(ths, tsh, [tsh.t2, tsh.t1], ctx) * i_n * i_m
+            return w0(np.exp(1j * ths))[0][:, 0] * i_n * i_m
 
         # Itilde_n has annulus q^{a/2}; w0 keeps the poles of 1/h(.; t3, t4)
         res = integrate_theta(igr, ctx, strip=-math.log(q ** (a / 2.0)),
                               poles=h_poles([tsh.t3, tsh.t4]))
-        return complex(converged_value(res, f"triple integral ({m},{n})"))
+        value = converged_value(res, f"triple integral ({m},{n})")
+        return complex(2.0 * np.pi / euler_product(ctx) * value)
 
     An, _, Cn = section6_constants(np.arange(2), a, c, a3, a4, ctx)
     diag = An * Cn**2
@@ -836,8 +840,7 @@ def bilinear_kernel_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,
     for s, name in ((t3 / r, "t3/r"), (t4 / r, "t4/r"), (t1 * r, "t1 r"), (t2 * r, "t2 r")):
         if abs(s) >= 1.0:
             raise ParamDomain(f"|{name}| >= 1 puts a pole in W_0")
-    tsh = _shift7(t, r)
-    return _bilinear_kernel(phi1, phi2, [t1, t2], tsh, [tsh.t1, tsh.t2], r, t, ctx)
+    return _bilinear_kernel(phi1, phi2, [t1, t2], _shift7(t, r), r, t, ctx)
 
 
 def bilinear_series_7(phi1: float, phi2: float, p: op.TParams, t: AWParams,

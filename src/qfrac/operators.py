@@ -46,7 +46,7 @@ from .chebyshev import cheb_apply_dq, cheb_eval, cheb_fit_adaptive
 from .context import QContext
 from .errors import AnnulusExhausted, DivisionNearZero, ParamDomain
 from .qcore import h_poles, h_product_z, qpoch_infinite
-from .qfunctions import hermite_cq_all, poisson_kernel_z, q_exponential, weight_wH_sin
+from .qfunctions import hermite_cq_all, poisson_factors, q_exponential
 from .quadrature import QuadResult, converged_value, integrate_theta
 
 __all__ = [
@@ -257,52 +257,49 @@ def apply_Dq(f: AnalyticFn, ctx: QContext) -> AnalyticFn:
 # K_{a,c} family
 # ---------------------------------------------------------------------------
 
-def poisson_integral(t, g, g_strip, z, pref, ctx: QContext, g_poles=()) -> QuadResult:
-    """pref(z) * integral_0^pi w_H(cos phi) sin phi g(phi) P_t(phi, z) dphi for
-    every z of a batch, with P_t = poisson_kernel_z the q-Hermite Poisson
-    kernel.  g maps an array of angles phi to g(phi) and is even, 2pi-periodic
-    and analytic for |Im phi| < g_strip apart from its poles g_poles,
-    (centre, distance) pairs as h_poles gives them; pref is a scalar or one
-    value per z.
+def poisson_integral(t, g, h_params, g_strip, z, pref, ctx: QContext) -> QuadResult:
+    """pref(z) * integral_0^pi w_H(cos phi) sin phi g(e^{i phi}) P_t(phi, z)
+    / h(cos phi; h_params) dphi for every z of a batch, with P_t the
+    q-Hermite Poisson kernel.  g is the operand alone: it maps an array of
+    nodes zeta = e^{i phi} to its values, is even in phi and analytic for
+    |Im phi| < g_strip; the poles of 1/h(.; h_params) are stated as h_poles
+    gives them.  pref is a scalar or one value per z.
 
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
-    per-component error budgets.
+    per-component error budgets.  Each integrand evaluation takes the
+    weight, 1/h and the kernel from one poisson_factors evaluation.
 
     The kernel of z_k peaks at phi = |arg(z_k sign t)| with its poles at
     |Im phi| = -ln(|t| max(|z_k|, 1/|z_k|)) (t = 0 makes it constant).
-    integrate_theta gets these peaks, g's poles and g_strip, and picks the
+    integrate_theta gets these peaks, 1/h's poles and g_strip, and picks the
     rule from them: the trapezoid rule when the narrowest of them allows,
     else the sinh-mapped rule, on nodes shared by every z when the peaks are
     wide enough, else per z.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    factors = poisson_factors(z, t, (), h_params, ctx)
 
     def integrand(phis):
-        flat = phis.ravel()
-        base = (weight_wH_sin(flat, ctx) * g(flat)).reshape(len(phis), -1)
-        return base * pref * poisson_kernel_z(np.exp(1j * phis), z, t, ctx)
+        zeta = np.exp(1j * phis)
+        node, kernel = factors(zeta)
+        return node * g(zeta.ravel()).reshape(node.shape) * pref * kernel
 
     peaks = h_poles(t * np.where(np.abs(z) >= 1.0, z, 1.0 / z)).T if t else None
-    return integrate_theta(integrand, ctx, strip=g_strip, peaks=peaks, poles=g_poles)
+    return integrate_theta(integrand, ctx, strip=g_strip, peaks=peaks, poles=h_poles(h_params))
 
 
 def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, label,
                       ctx: QContext) -> AnalyticFn:
     """The operator f -> pref_const h(x; pref_params) * poisson_integral of
-    g = f / h(.; params) at t, shared by D_q^{-1}, K_{a,c} and T(a,b,r).  g is
-    analytic as far as f's annulus allows, apart from 1/h's poles.  The
-    output carries annulus rho and memoizes its pointwise quadratures."""
-
-    def g(phis):
-        zeta = np.exp(1j * phis)
-        return f(zeta) / h_product_z(zeta, params, ctx)
-
-    g_strip, g_poles = _annulus_strip(f), h_poles(params)
+    the operand f against 1/h(.; params) at t, shared by D_q^{-1}, K_{a,c}
+    and T(a,b,r).  f is analytic as far as its annulus allows.  The output
+    carries annulus rho and memoizes its pointwise quadratures."""
+    g_strip = _annulus_strip(f)
 
     def ev(zv):
         pref = pref_const * np.asarray(h_product_z(zv, pref_params, ctx))
-        res = poisson_integral(t, g, g_strip, zv, pref, ctx, g_poles)
+        res = poisson_integral(t, f, params, g_strip, zv, pref, ctx)
         return np.atleast_1d(converged_value(res, label))
 
     return AnalyticFn(ev, rho, label=label, memoize=True)
@@ -617,12 +614,12 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
 
     def pairing(g, t, hpars):
         """integral of E_q(x; t) g(x) w_H dx / h(x; hpars)."""
+        factors = poisson_factors((), 0.0, (), hpars, ctx)
 
         def igr(phis):
             e = np.asarray(q_exponential(phis, t, ctx))
-            gv = np.asarray(g.on_theta(phis))
-            h = np.asarray(h_product_z(np.exp(1j * phis), hpars, ctx))
-            return e * gv * weight_wH_sin(phis, ctx) / h
+            zeta = np.exp(1j * phis)
+            return e * np.asarray(g(zeta)) * factors(zeta)[0][:, 0]
 
         res = integrate_theta(igr, ctx, strip=_annulus_strip(g), poles=h_poles(hpars))
         return complex(converged_value(res, f"adjoint pairing, {side}"))

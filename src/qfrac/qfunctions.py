@@ -1,10 +1,15 @@
 """Polynomial families, weights and q-exponentials.
 
 Continuous q-Hermite polynomials H_n(x|q) and their weight, the Poisson
-kernel in both series and product form (poisson_kernel_z, the vectorized
-product form, is the kernel every integral operator uses), the four-parameter
-Askey-Wilson polynomials p_n(x; t1,t2,t3,t4) with weight and normalization
-constants, the three q-monomial bases, and the q-exponential.
+kernel in both series and product form, the four-parameter Askey-Wilson
+polynomials p_n(x; t1,t2,t3,t4) with weight and normalization constants, the
+three q-monomial bases, and the q-exponential.
+
+poisson_factors is the integrand of every Poisson-kernel integral (the
+operators' and the bilinear kernels' coupling integrals): per evaluation, the
+node factor w_H sin phi h(.; num) / h(.; den) and the product-form kernel
+from one qpoch_infinite call.  poisson_kernel_z, the vectorized product form,
+is its kernel alone.
 
 All grids are theta-grids on [0, pi]; integrals always fold the sin(theta)
 Jacobian into the integrand before quadrature so no endpoint singularity
@@ -38,6 +43,7 @@ __all__ = [
     "weight_wH",
     "weight_wH_sin",
     "poisson_kernel",
+    "poisson_factors",
     "poisson_kernel_z",
     "aw_polynomial",
     "aw_polynomial_all",
@@ -202,60 +208,117 @@ def _on_unit_circle(w) -> bool:
     return bool(np.all(np.abs(np.abs(w) - 1.0) <= 4.0 * np.finfo(float).eps))
 
 
-def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
-    """Product-form Poisson kernel in the variables zeta = e^{i phi} and z:
-    the (len(zeta), len(z)) matrix
+def poisson_factors(z, t, num, den, ctx: QContext):
+    """The factors of a q-Hermite Poisson-kernel integrand, for one integral
+    over the points z.  Returns factors(zeta) -> (node, kernel) for nodes
+    zeta = e^{i phi}, of shape (m,) shared by every z or (m, len(z)) with
+    column k holding the nodes of z_k:
 
-        (t^2; q)_oo / (t zeta z, t z/zeta, t zeta/z, t/(zeta z); q)_oo.
+        node   = w_H(cos phi) sin phi h(cos phi; num) / h(cos phi; den),
+                 of shape (m, 1) or (m, len(z));
+        kernel = (t^2; q)_oo / (t zeta z, t z/zeta, t zeta/z, t/(zeta z); q)_oo,
+                 the (m, len(z)) matrix; on |z| = 1, z = e^{i theta}, this is
+                 poisson_kernel(theta, phi, t).
 
-    zeta is one node array for every z, or an (m, len(z)) array whose column
-    k holds the nodes of z_k.  On |z| = 1, z = e^{i theta}, this is
-    poisson_kernel(theta, phi, t).  For real t with zeta and z on the unit
-    circle the four products are two conjugate pairs, and the denominator is
-    |(t zeta z, t zeta/z; q)_oo|^2; off the circle (D_q's |z| = q^{+-1/2},
-    the Richardson points z(1 +- delta)) all four are taken.  The products
-    of one call share one truncation, set by the largest modulus among them.
+    Every product of one evaluation comes from one qpoch_infinite call on
+    the concatenated arguments, so they share one truncation, set by the
+    largest modulus among them; the edge pair's first factor 1 - e^{2i phi}
+    is taken out, so its modulus 1 does not set it.  The constants of the
+    integral, (q; q)_oo / 2pi, (t^2; q)_oo, t z and t/z, are computed here,
+    once; an empty z gives the node factor alone.
+
+    Conjugate products are taken as |.|^2: in node, for real phi, the edge
+    pair (e^{2i phi}, e^{-2i phi}; q)_oo and the (alpha zeta, alpha/zeta; q)_oo
+    of h for real alpha (complex alpha keeps both); in kernel, for real t
+    with zeta and z on the unit circle, the denominator
+    |(t zeta z, t zeta/z; q)_oo|^2.  Off the circle (D_q's |z| = q^{+-1/2},
+    the Richardson points z(1 +- delta)) the kernel takes all four products.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
-    zeta = zeta.reshape(len(zeta), -1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))[None, :]
     # t rides on the per-z factors so each argument takes one rounding per
     # node: near phi = theta the factor 1 - t zeta/z cancels, and any further
     # rounding there moves the last bits of every integral of the kernel
     tz, t_z = t * z, t / z
-    num = qpoch_infinite(t * t, ctx)
-    if np.imag(t) == 0 and _on_unit_circle(z) and _on_unit_circle(zeta):
-        pair = np.prod(qpoch_infinite(np.stack((zeta * tz, zeta * t_z)), ctx), axis=0)
-        return num / (pair.real**2 + pair.imag**2)
-    inv = 1.0 / zeta
-    args = np.stack((zeta * tz, inv * tz, zeta * t_z, inv * t_z))
-    return num / np.prod(qpoch_infinite(args, ctx), axis=0)
+    knum = qpoch_infinite(t * t, ctx) if z.size else 1.0
+    kernel_pairs = np.imag(t) == 0 and _on_unit_circle(z)
+    params = list(num) + list(den)
+    lone = [j + 1 for j, a in enumerate(params) if np.imag(a) != 0]  # rows of complex alpha
+    num_rows, den_rows = range(1, 1 + len(num)), range(1 + len(num), 1 + len(params))
+    wconst = euler_product(ctx) / (2.0 * np.pi)
+
+    def factors(zeta):
+        zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+        zeta = zeta.reshape(len(zeta), -1)
+        e2 = zeta * zeta
+        # rows: q e^{2i phi}, alpha zeta for every alpha, alpha / zeta for
+        # complex alpha, then the kernel's pairs or its four products
+        args = [ctx.q * e2] + [a * zeta for a in params] + [params[j - 1] / zeta for j in lone]
+        if kernel_pairs and _on_unit_circle(zeta):
+            kern = [zeta * tz, zeta * t_z]
+        else:
+            inv = 1.0 / zeta
+            kern = [zeta * tz, inv * tz, zeta * t_z, inv * t_z]
+        p = qpoch_infinite(np.concatenate([w.ravel() for w in args + kern]), ctx)
+        pn = p[:len(args) * zeta.size].reshape((len(args),) + zeta.shape)
+        pk = p[len(args) * zeta.size:].reshape((len(kern),) + kern[0].shape)
+        h = pn[:1 + len(params)]
+        h = h.real**2 + h.imag**2
+        if lone:
+            h = h.astype(np.complex128)
+            h[lone] = pn[lone] * pn[1 + len(params):]
+        edge = 1.0 - e2
+        node = wconst * (edge.real**2 + edge.imag**2) * h[0]
+        for j in num_rows:
+            node = node * h[j]
+        for j in den_rows:
+            node = node / h[j]
+        if len(pk) == 2:
+            pair = pk[0] * pk[1]
+            return node, knum / (pair.real**2 + pair.imag**2)
+        return node, knum / np.prod(pk, axis=0)
+
+    return factors
 
 
-def aw_polynomial_all(n: int, x, t: AWParams, ctx: QContext) -> np.ndarray:
+def poisson_kernel_z(zeta, z, t, ctx: QContext) -> np.ndarray:
+    """The product-form Poisson kernel of poisson_factors, as the
+    (len(zeta), len(z)) matrix; zeta is one node array for every z, or an
+    (m, len(z)) array whose column k holds the nodes of z_k."""
+    return poisson_factors(z, t, (), (), ctx)(zeta)[1]
+
+
+def aw_polynomial_all(n: int, x, t: AWParams, ctx: QContext, head=None) -> np.ndarray:
     """p_0..p_n at arbitrary (possibly complex) x in one pass of the three-term
     recurrence; shape (n+1,) + shape(x).
 
     p_n is symmetric in t1..t4, so the parameter of largest modulus leads the
     recurrence and its scale, the running product (t1 t2, t1 t3, t1 t4; q)_m t1^{-m}
     (a small lead would cancel against its own 1/t1 in every step and its
-    t1^{-m}).  All four 0 is the continuous q-Hermite limit H_m(x|q)."""
+    t1^{-m}).  All four 0 is the continuous q-Hermite limit H_m(x|q).  head,
+    the rows p_0..p_m of an earlier call at the same x and t, is continued
+    from its last two rows, divided by their scale, not recomputed."""
     a, b, c, d = sorted(t.as_tuple(), key=abs, reverse=True)
     xv = np.asarray(x, dtype=np.complex128)
     if a == 0:
-        return hermite_cq_all(n, xv, ctx)
+        return hermite_cq_all(n, xv, ctx, head=head)
     q, T = ctx.q, a * b * c * d
     qm = q ** np.arange(n)
     step = (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * d * qm) / a  # scale_{m+1} / scale_m
     A = step * (1 - T * qm / q) / ((1 - T * qm * qm / q) * (1 - T * qm * qm))
     C = (a * (1 - qm) * (1 - b * c * qm / q) * (1 - b * d * qm / q) * (1 - c * d * qm / q)
          / ((1 - T * qm * qm / (q * q)) * (1 - T * qm * qm / q)))
+    scale = np.concatenate(([1.0], np.cumprod(step))).tolist()
     out = np.empty((n + 1,) + xv.shape, dtype=np.complex128)
-    out[0], p_prev, x2 = 1.0, 0.0, 2 * xv
-    for k, (Ak, Bk, Ck) in enumerate(zip(A.tolist(), (A + C - a - 1 / a).tolist(), C.tolist())):
-        out[k + 1] = ((x2 + Bk) * out[k] - Ck * p_prev) / Ak
-        p_prev = out[k]
-    out *= np.concatenate(([1.0], np.cumprod(step))).reshape((-1,) + (1,) * xv.ndim)
+    out[0], known = 1.0, 1
+    if head is not None:
+        known = min(len(head), n + 1)
+        out[:known] = head[:known]
+    p = out[known - 1] / scale[known - 1]  # the rows without their scale
+    p_prev = out[known - 2] / scale[known - 2] if known > 1 else 0.0
+    x2, A, B, C = 2 * xv, A.tolist(), (A + C - a - 1 / a).tolist(), C.tolist()
+    for k in range(known - 1, n):
+        p, p_prev = ((x2 + B[k]) * p - C[k] * p_prev) / A[k], p
+        out[k + 1] = p * scale[k + 1]
     return out
 
 

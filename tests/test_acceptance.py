@@ -13,7 +13,9 @@ from collections import Counter
 
 import pytest
 
-from qfrac.identities import run_suite, variant_groups_ok
+from qfrac.context import QContext
+from qfrac.identities import IdentityCase, bilinear_kernel_6, run_case, run_suite, variant_groups_ok
+from qfrac.operators import KParams
 
 
 @pytest.fixture(scope="session")
@@ -181,6 +183,28 @@ def test_work_budget(suite_reports):
             if n > _EVALS_BUDGET.get(i, 0)}
     _crit_line("W", "work budget", not over, f"{sum(totals.values())} evals")
     assert not over
+
+
+# qpoch_infinite calls of one case per integrand family: a Poisson-kernel
+# operator (K), a composition of T operators, and a bilinear kernel's
+# coupling integral.  A change may lower a budget, never raise it.
+_POCHHAMMER_BUDGET = [
+    ("I5[a=0.5,c=1.2,n=8,q=0.5]", lambda: run_case(IdentityCase(
+        "I5", {"q": 0.5, "a": 0.5, "c": 1.2, "n": 8})), 118),
+    ("I17[a=0.4,b=0.3,q=0.5,r=0.2,s=0.5]", lambda: run_case(IdentityCase(
+        "I17", {"q": 0.5, "a": 0.4, "b": 0.3, "r": 0.2, "s": 0.5})), 63),
+    ("bilinear_kernel_6(1.0,1.8)", lambda: bilinear_kernel_6(
+        1.0, 1.8, KParams(0.8, 1.2), 0.2, 0.1, QContext(q=0.5)), 8),
+]
+
+
+@pytest.mark.parametrize("run, budget", [b[1:] for b in _POCHHAMMER_BUDGET],
+                         ids=[b[0] for b in _POCHHAMMER_BUDGET])
+def test_pochhammer_budget(qpoch_calls, run, budget):
+    """One case per integrand family within its qpoch_infinite call budget."""
+    out = run()
+    assert getattr(out, "status", "pass") == "pass"
+    assert 0 < len(qpoch_calls) <= budget
 
 
 def test_criterion_8_determinism(tmp_path):

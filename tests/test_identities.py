@@ -151,6 +151,15 @@ class TestBilinearKernels:
         with pytest.raises(ParamDomain):
             idn.bilinear_kernel_6(1.0, 1.5, p, 0.5, 0.1, ctx)
 
+    def test_coupling_integrand_one_pochhammer_call(self, ctx05, calls_per_evaluation):
+        # w0 and both Poisson kernels of one evaluation come from one
+        # qpoch_infinite call, in either section
+        counts = calls_per_evaluation(idn)
+        idn.bilinear_kernel_6(1.0, 1.8, op.KParams(0.8, 1.2), 0.2, 0.1, ctx05)
+        idn.bilinear_kernel_7(1.0, 1.8, op.TParams(0.4, 0.3, 0.5), AWParams(0.4, 0.3, 0.2, 0.1),
+                              ctx05)
+        assert len(counts) >= 2 and set(counts) == {1}
+
 
 class TestEigenActionScale:
     def test_i19_small_r_judged_on_merged_scale(self):
@@ -219,6 +228,19 @@ class TestBilinearSeries:
             monkeypatch.setattr(module, "qpoch_infinite", counted)
         idn.bilinear_series_6(1.0, 1.8, self.P, 0.2, 0.1, QContext(q=0.7))
         assert 0 < len(calls) <= 12
+
+    def test_recurrence_continues_across_blocks(self, monkeypatch):
+        # the 107-term series computes p_0..p_127 once: 128 rows over its four
+        # blocks, where a fresh pass per block computes 16 + 32 + 64 + 128
+        rows, aw_all = [], idn.aw_polynomial_all
+
+        def counted(n, x, t, ctx, head=None):
+            rows.append(n + 1 - (0 if head is None else len(head)))
+            return aw_all(n, x, t, ctx, head=head)
+
+        monkeypatch.setattr(idn, "aw_polynomial_all", counted)
+        _, n_terms = idn.bilinear_series_6(1.0, 1.8, self.P, 0.2, 0.1, QContext(q=0.7))
+        assert n_terms == 107 and rows == [16, 16, 32, 64]
 
     def test_stopping_rule_never_met_raises(self, ctx05):
         # tol = 0 makes no term small, so every block up to max_terms runs

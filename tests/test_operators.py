@@ -72,9 +72,22 @@ class TestPoissonIntegral:
         for t in (0.4, -0.35, 0.0):
             for n in range(4):
                 res = op.poisson_integral(
-                    t, lambda phis: hermite_cq_all(n, np.cos(phis), ctx05)[n], math.inf,
+                    t, lambda zeta: hermite_cq_all(n, zeta.real, ctx05)[n], (), math.inf,
                     np.exp(1j * grid), 1.0, ctx05)
                 assert np.max(np.abs(res.value - t**n * want[n])) < 1e-12
+
+    def test_one_pochhammer_call_per_evaluation(self, ctx05, calls_per_evaluation):
+        # the weight, 1/h and the kernel of one evaluation come from one
+        # qpoch_infinite call; the operand x^2 makes none of its own
+        counts = calls_per_evaluation(op)
+        f = op.analytic_from_x(lambda x: x * x)
+        op.apply_K(op.KParams(0.8, 1.2), f, ctx05).on_theta(GRID)
+        op.dq_inverse(1.2, f, ctx05).on_theta(GRID)
+        op.apply_T(op.TParams(0.4, -0.3, 0.5), f, ctx05).on_theta(GRID)
+        op.apply_T(op.TParams(0.4 + 0.3j, 0.4 - 0.3j, 0.5), f, ctx05).on_theta(GRID)
+        op.poisson_integral(0.4, lambda zeta: zeta.real, (), math.inf, np.exp(1j * GRID),
+                            1.0, ctx05)
+        assert len(counts) >= 5 and set(counts) == {1}
 
     @staticmethod
     def _reproduced(coeffs, t, z, ctx):
@@ -90,7 +103,7 @@ class TestPoissonIntegral:
         z = np.exp(1j * np.array([0.7, 2.1]))
         coeffs = [(1.0 - ctx05.q) / 4.0, 0.0, 0.25]
         for t in (0.9995, -0.9995):
-            res = op.poisson_integral(t, lambda phis: np.cos(phis) ** 2, math.inf, z, 1.0,
+            res = op.poisson_integral(t, lambda zeta: zeta.real ** 2, (), math.inf, z, 1.0,
                                       ctx05)
             assert res.converged and res.evals < 2000 * z.size
             assert np.max(np.abs(res.value - self._reproduced(coeffs, t, z, ctx05))) < 1e-12
@@ -105,7 +118,7 @@ class TestPoissonIntegral:
         for t, z in ((0.999, np.array([1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -1.0 - 1e-6])),
                      (0.999 * rq, np.array([rq * w, w / rq]))):
             res = op.poisson_integral(
-                t, lambda phis: np.cos(phis) ** 2 + 0.5 * np.cos(phis), math.inf, z, 1.0, ctx05)
+                t, lambda zeta: zeta.real ** 2 + 0.5 * zeta.real, (), math.inf, z, 1.0, ctx05)
             want = self._reproduced(coeffs, t, z, ctx05)
             assert res.converged and res.evals < 2000 * z.size
             assert np.max(np.abs(res.value - want) / np.abs(want)) < 1e-10

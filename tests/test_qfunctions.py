@@ -6,7 +6,7 @@ import pytest
 
 from qfrac.context import QContext
 from qfrac.errors import DivisionNearZero, DomainError, NonConvergent, PoleOnContour
-from qfrac.qcore import qpoch_finite, qpoch_infinite, euler_product
+from qfrac.qcore import h_product_z, qpoch_finite, qpoch_infinite, euler_product
 from qfrac.qfunctions import (
     AWParams,
     ThetaPoint,
@@ -21,6 +21,7 @@ from qfrac.qfunctions import (
     basis_rho,
     hermite_cq,
     hermite_cq_all,
+    poisson_factors,
     poisson_kernel,
     poisson_kernel_z,
     q_exponential,
@@ -180,6 +181,31 @@ class TestPoisson:
             got = poisson_kernel_z(zeta, z, t, ctx05)
             assert np.array_equal(got, self._four_products(zeta, z, t, ctx05))
 
+    @pytest.mark.parametrize("t", [0.4, -0.35, 0.9995])
+    @pytest.mark.parametrize("num, den", [((), (-1 / 1.2, -0.6)),
+                                          ((0.3, -0.2), (0.4 + 0.3j, 0.4 - 0.3j)),
+                                          ((0.5j,), (0.25, -0.6 + 0.1j))])
+    def test_stacked_factors_match_separate_products(self, ctx_all, t, num, den):
+        # the node factor and kernel of one stacked call against the weight,
+        # h and the kernel computed on their own, for z on the circle and at
+        # |z| = q^{+-1/2}, with real and complex alpha, on shared (m,) and
+        # per-z (m, B) nodes
+        phis = np.linspace(0.05, np.pi - 0.05, 33)
+        thetas = theta_grid(5)
+        rq = np.sqrt(ctx_all.q)
+        for z in (np.exp(1j * thetas), rq * np.exp(1j * thetas), np.exp(1j * thetas) / rq):
+            factors = poisson_factors(z, t, num, den, ctx_all)
+            for angles in (phis, phis[:, None] + 0.01 * thetas):
+                zeta = np.exp(1j * angles)
+                node, kernel = factors(zeta)
+                cols = angles.reshape(len(angles), -1)
+                want = (weight_wH_sin(cols, ctx_all) * h_product_z(np.exp(1j * cols), num, ctx_all)
+                        / h_product_z(np.exp(1j * cols), den, ctx_all))
+                assert node.shape == want.shape and kernel.shape == (len(phis), len(z))
+                assert np.max(np.abs(node - want) / np.abs(want)) <= 1e-13
+                want = poisson_kernel_z(zeta, z, t, ctx_all)
+                assert np.max(np.abs(kernel - want) / np.abs(want)) <= 1e-13
+
     def test_positivity(self, ctx05, rng):
         for _ in range(10):
             th, ph = rng.uniform(0, np.pi, 2)
@@ -321,6 +347,24 @@ class TestAskeyWilson:
             for n in range(7):
                 want = aw_polynomial_series(n, th, t_series, ctx07)
                 assert np.max(np.abs(P[n] - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [T, AWParams(1e-6, 0.3, 0.2, -0.1),
+                                   AWParams(0.4 + 0.3j, 0.4 - 0.3j, 0.2, 0.1),
+                                   AWParams(0.0, 0.0, 0.0, 0.0)])
+    def test_continued_rows_match_scratch(self, ctx_all, t):
+        # the blocks of the bilinear series: rows 0..15, then continued to
+        # 0..31, 0..63 and 0..127, against one pass from n = 0; the head's
+        # rows are kept as they are
+        x = np.cos(np.array([1.0, 1.8, 0.3]))
+        scratch = aw_polynomial_all(127, x, t, ctx_all)
+        rows = None
+        for n in (15, 31, 63, 127):
+            head, rows = rows, aw_polynomial_all(n, x, t, ctx_all, head=rows)
+            assert rows.shape == (n + 1, 3)
+            if head is not None:
+                assert np.array_equal(rows[:len(head)], head)
+        scale = np.max(np.abs(scratch), axis=1)
+        assert np.all(np.max(np.abs(rows - scratch), axis=1) <= 1e-13 * scale)
 
     def test_norm_array_matches_scalar(self, ctx_all):
         ns = np.arange(40)

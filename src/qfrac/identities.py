@@ -33,6 +33,7 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
     settled_sum,
+    table_scope,
 )
 from .qfunctions import (
     AWParams,
@@ -44,6 +45,7 @@ from .qfunctions import (
     hermite_cq_all,
     poisson_factors,
     poisson_kernel,
+    poisson_kernel_z,
     q_exponential,
     q_exponential_x,
     theta_grid,
@@ -205,11 +207,8 @@ def _run_I0b(params, variant, ctx, tol):
     t = params.get("t", 0.4)
     thetas = theta_grid(9)
     phis = [np.pi / 4.0, 2.0]
-    lhs, rhs = [], []
-    for th in thetas:
-        for ph in phis:
-            lhs.append(poisson_kernel(float(th), ph, t, ctx, form="series"))
-            rhs.append(poisson_kernel(float(th), ph, t, ctx, form="product"))
+    lhs = [poisson_kernel(float(th), ph, t, ctx, form="series") for th in thetas for ph in phis]
+    rhs = poisson_kernel_z(np.exp(1j * np.array(phis)), np.exp(1j * thetas), t, ctx).T.ravel()
     return _resid(lhs, rhs, tol, notes=f"t={t}")
 
 
@@ -938,7 +937,12 @@ def registry_ids():
 
 def run_identity(case: IdentityCase, base_ctx: QContext | None = None) -> Residual:
     """Evaluate one identity case; raises CaseInvalid/ParamDomain on
-    parameter violations (a rejected case is never a silent pass)."""
+    parameter violations (a rejected case is never a silent pass).
+
+    The case runs inside one qcore.table_scope: a Poisson-kernel evaluation
+    or h product that repeats an earlier one of the same case (same points,
+    parameters and context) reads its stored value back, bit for bit, and
+    the store is dropped when the case returns or raises."""
     spec = REGISTRY.get(case.id)
     if spec is None:
         raise CaseInvalid(f"unknown identity id {case.id!r}")
@@ -948,7 +952,8 @@ def run_identity(case: IdentityCase, base_ctx: QContext | None = None) -> Residu
     if missing:
         raise CaseInvalid(f"{case.id} missing parameters: {', '.join(missing)}")
     ctx = _mk_ctx(case.params, base_ctx)
-    return spec.runner(case.params, case.variant, ctx, spec.tol)
+    with table_scope():
+        return spec.runner(case.params, case.variant, ctx, spec.tol)
 
 
 def default_cases() -> list[IdentityCase]:

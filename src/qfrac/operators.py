@@ -268,7 +268,10 @@ def poisson_integral(t, g, h_params, g_strip, z, pref, ctx: QContext) -> QuadRes
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
     per-component error budgets.  Each integrand evaluation takes the
-    weight, 1/h and the kernel from one poisson_factors evaluation.
+    weight, 1/h and the kernel from one poisson_factors evaluation; within
+    an identity case, a node batch that an earlier integral at the same z,
+    t and h_params met is read back from the case's store, so only g is
+    evaluated anew.
 
     The kernel of z_k peaks at phi = |arg(z_k sign t)| with its poles at
     |Im phi| = -ln(|t| max(|z_k|, 1/|z_k|)) (t = 0 makes it constant).
@@ -294,7 +297,9 @@ def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, la
     """The operator f -> pref_const h(x; pref_params) * poisson_integral of
     the operand f against 1/h(.; params) at t, shared by D_q^{-1}, K_{a,c}
     and T(a,b,r).  f is analytic as far as its annulus allows.  The output
-    carries annulus rho and memoizes its pointwise quadratures."""
+    carries annulus rho and memoizes its pointwise quadratures.  The
+    prefactor h(z; pref_params) is an h_product_z, kept per z within an
+    identity case like the integrand's tables."""
     g_strip = _annulus_strip(f)
 
     def ev(zv):

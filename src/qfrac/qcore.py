@@ -16,6 +16,10 @@ consecutive terms past n = 4 below tol * max(|partial sum|, floor), summed
 in blocks of 16, 16, 32, 64, ... new terms up to max_terms, NonConvergent
 past it.
 
+Within one identity case (table_scope, opened by identities.run_identity)
+the Poisson-kernel tables and the h products are computed once per exact key
+(stored); a call outside any case gets a fresh store of its own.
+
 Notation used throughout the docstrings:
 
     (a; q)_n   = prod_{k=0}^{n-1} (1 - a q^k)          finite Pochhammer
@@ -26,6 +30,8 @@ Notation used throughout the docstrings:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 
@@ -43,6 +49,9 @@ __all__ = [
     "h_product",
     "h_product_z",
     "h_poles",
+    "table_scope",
+    "table_key",
+    "stored",
     "settled_sum",
     "jtp_theta_series",
     "jtp_theta_logq_derivative_series",
@@ -186,9 +195,55 @@ def qpoch_real_index(a, beta: float, ctx: QContext):
     return _maybe_scalar(num / den, a)
 
 
+_TABLES = contextvars.ContextVar("qfrac_tables", default=None)
+
+
+@contextlib.contextmanager
+def table_scope():
+    """Open one table store for the calls made inside the block: stored
+    keeps its values there, and the store is dropped when the block returns
+    or raises.  identities.run_identity opens one per identity case."""
+    token = _TABLES.set({})
+    try:
+        yield
+    finally:
+        _TABLES.reset(token)
+
+
+def table_key(*parts) -> tuple:
+    """An exact key for stored: a str or QContext part as it is, anything
+    else (an array, a scalar, a parameter list) by its numpy dtype, shape
+    and bytes."""
+    key = []
+    for p in parts:
+        if not isinstance(p, (str, QContext)):
+            a = np.asarray(p)
+            p = (a.dtype.str, a.shape, a.tobytes())
+        key.append(p)
+    return tuple(key)
+
+
+def stored(key, compute):
+    """compute(), kept in the open table store under key (a table_key) and
+    returned from it to every later call with an equal key.  Stored arrays
+    are read-only.  A call outside any table_scope gets a fresh store of its
+    own, so nothing is reused there."""
+    store = _TABLES.get()
+    if store is None:
+        store = {}
+    if key not in store:
+        value = compute()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        store[key] = value
+    return store[key]
+
+
 def h_product_z(z, params, ctx: QContext):
     """h in the variable z: prod_j (a_j z; q)_oo (a_j / z; q)_oo, all 2n
-    products in one qpoch_infinite call.
+    products in one qpoch_infinite call, stored per (z, params, ctx) within
+    an identity case (read-only).
 
     On |z| = 1 with z = e^{i theta} this is h(cos theta; a_1..a_n).
     The empty parameter list gives 1.
@@ -196,8 +251,12 @@ def h_product_z(z, params, ctx: QContext):
     zv = _asarr(z)
     if len(params) == 0:
         return _maybe_scalar(np.ones_like(zv), z)
-    args = np.stack([w for aj in params for w in (aj * zv, aj / zv)])
-    return _maybe_scalar(np.prod(qpoch_infinite(args, ctx), axis=0), z)
+
+    def product():
+        args = np.stack([w for aj in params for w in (aj * zv, aj / zv)])
+        return _maybe_scalar(np.prod(qpoch_infinite(args, ctx), axis=0), z)
+
+    return stored(table_key("h_product_z", zv, params, ctx), product)
 
 
 def h_poles(params):

@@ -8,8 +8,9 @@ three q-monomial bases, and the q-exponential.
 poisson_factors is the integrand of every Poisson-kernel integral (the
 operators' and the bilinear kernels' coupling integrals): per evaluation, the
 node factor w_H sin phi h(.; num) / h(.; den) and the product-form kernel
-from one qpoch_infinite call.  poisson_kernel_z, the vectorized product form,
-is its kernel alone.
+from one qpoch_infinite call, the pair kept per node batch within an
+identity case.  poisson_kernel_z, the vectorized product form, is its kernel
+alone.
 
 All grids are theta-grids on [0, pi]; integrals always fold the sin(theta)
 Jacobian into the integrand before quadrature so no endpoint singularity
@@ -32,6 +33,8 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
     settled_sum,
+    stored,
+    table_key,
 )
 
 __all__ = [
@@ -225,7 +228,11 @@ def poisson_factors(z, t, num, den, ctx: QContext):
     largest modulus among them; the edge pair's first factor 1 - e^{2i phi}
     is taken out, so its modulus 1 does not set it.  The constants of the
     integral, (q; q)_oo / 2pi, (t^2; q)_oo, t z and t/z, are computed here,
-    once; an empty z gives the node factor alone.
+    once; an empty z gives the node factor alone.  Within an identity case
+    (qcore.stored), (t^2; q)_oo is kept per t, and each evaluation's read-only
+    (node, kernel) pair per exact (z, t, num, den, zeta): an integral that
+    meets a node batch of an earlier one at the same points, t and
+    parameters reads the pair back instead of recomputing it.
 
     Conjugate products are taken as |.|^2: in node, for real phi, the edge
     pair (e^{2i phi}, e^{-2i phi}; q)_oo and the (alpha zeta, alpha/zeta; q)_oo
@@ -239,16 +246,21 @@ def poisson_factors(z, t, num, den, ctx: QContext):
     # node: near phi = theta the factor 1 - t zeta/z cancels, and any further
     # rounding there moves the last bits of every integral of the kernel
     tz, t_z = t * z, t / z
-    knum = qpoch_infinite(t * t, ctx) if z.size else 1.0
+    knum = stored(table_key("(t^2; q)_oo", t, ctx), lambda: qpoch_infinite(t * t, ctx)) \
+        if z.size else 1.0
     kernel_pairs = np.imag(t) == 0 and _on_unit_circle(z)
     params = list(num) + list(den)
     lone = [j + 1 for j, a in enumerate(params) if np.imag(a) != 0]  # rows of complex alpha
     num_rows, den_rows = range(1, 1 + len(num)), range(1 + len(num), 1 + len(params))
     wconst = euler_product(ctx) / (2.0 * np.pi)
+    integral = table_key("poisson_factors", z, t, num, den, ctx)
 
     def factors(zeta):
         zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
         zeta = zeta.reshape(len(zeta), -1)
+        return stored(integral + table_key(zeta), lambda: evaluate(zeta))
+
+    def evaluate(zeta):
         e2 = zeta * zeta
         # rows: q e^{2i phi}, alpha zeta for every alpha, alpha / zeta for
         # complex alpha, then the kernel's pairs or its four products

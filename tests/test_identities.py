@@ -1,5 +1,8 @@
 """Identity registry plumbing: completeness, rejection, determinism, variants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from qfrac import identities as idn
 from qfrac import qcore, qfunctions
 from qfrac.identities import IdentityCase, run_identity, run_suite
 from qfrac import operators as op
-from qfrac.qcore import qpoch_infinite
+from qfrac.qcore import h_product_z, qpoch_infinite
 from qfrac.qfunctions import AWParams, aw_norm_Mn, aw_polynomial, aw_weight
 
 
@@ -81,6 +84,57 @@ class TestRunIdentity:
         scale = np.max(np.abs(fwd))
         assert np.max(np.abs(fwd - rev[::-1])) < 1e-12 * scale
         assert r1.max_rel < 1e-7
+
+
+class TestCaseTables:
+    def test_a_rerun_case_makes_the_same_pochhammer_calls(self, qpoch_calls):
+        # no table passes from one case to the next; (q; q)_oo, cached per
+        # context for the whole process, is warmed first
+        case = IdentityCase("I5", {"q": 0.5, "a": 1.0, "c": 1.2, "n": 3})
+        qcore.euler_product(QContext(q=0.5))
+        counts = []
+        for _ in range(2):
+            before = len(qpoch_calls)
+            run_identity(case)
+            counts.append(len(qpoch_calls) - before)
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_table_outlives_its_case(self, monkeypatch, fail):
+        refs = []
+
+        def runner(params, variant, ctx, tol):
+            z = np.exp(1j * qfunctions.theta_grid(5))
+            refs.append(weakref.ref(h_product_z(z, [0.3], ctx)))
+            assert refs[0]() is not None  # held by the case's store
+            if fail:
+                raise NonConvergent("forced")
+            return idn._resid([1.0], [1.0], tol)
+
+        monkeypatch.setitem(idn.REGISTRY, "Itab",
+                            idn.IdentityDef("Itab", "tables", 1e-12, runner, ("q",)))
+        case = IdentityCase("Itab", {"q": 0.5})
+        if fail:
+            with pytest.raises(NonConvergent):
+                run_identity(case)
+        else:
+            run_identity(case)
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+        assert qcore._TABLES.get() is None
+
+    @pytest.mark.parametrize("case", [
+        IdentityCase("I1", {"q": 0.5, "a": 0.4, "b": 1.0, "c": 1.2}),
+        IdentityCase("I5", {"q": 0.5, "a": 0.5, "c": 1.2, "n": 8}),
+        IdentityCase("I16", {"q": 0.5, "a": 0.8, "c": 1.2, "a3": 0.2, "a4": 0.1}),
+        IdentityCase("I17", {"q": 0.5, "a": 0.4, "b": 0.3, "r": 0.2, "s": 0.5}),
+    ], ids=lambda c: c.key())
+    def test_tables_keep_residuals_bit_identical(self, case):
+        # the runner called outside any case, with no table reused, against
+        # run_identity's scoped run
+        spec = idn.REGISTRY[case.id]
+        direct = spec.runner(case.params, case.variant, QContext(q=case.params["q"]), spec.tol)
+        assert run_identity(case) == direct
 
 
 class TestBilinearKernels:

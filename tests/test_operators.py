@@ -10,7 +10,7 @@ from qfrac.context import QContext
 from qfrac.errors import AnnulusExhausted, NonConvergent, ParamDomain
 from qfrac import identities as idn
 from qfrac import operators as op
-from qfrac import quadrature
+from qfrac import qcore, quadrature
 from qfrac.qcore import h_product_z, qpoch_infinite
 from qfrac.qfunctions import hermite_cq_all, theta_grid
 
@@ -88,6 +88,24 @@ class TestPoissonIntegral:
         op.poisson_integral(0.4, lambda zeta: zeta.real, (), math.inf, np.exp(1j * GRID),
                             1.0, ctx05)
         assert len(counts) >= 5 and set(counts) == {1}
+
+    def test_second_operand_reads_the_tables(self, ctx05, qpoch_calls):
+        # inside a case, a second operand through the same operator at the
+        # same points makes no kernel, node or prefactor call; the operands
+        # make none of their own
+        first = op.analytic_from_x(lambda x: 3.0 * x * x - x)
+        second = op.analytic_from_x(lambda x: x * x)
+        for apply in (lambda f: op.apply_K(op.KParams(0.8, 1.2), f, ctx05),
+                      lambda f: op.dq_inverse(1.2, f, ctx05),
+                      lambda f: op.apply_T(op.TParams(0.4 + 0.3j, 0.4 - 0.3j, 0.5), f, ctx05)):
+            want = apply(second).on_theta(GRID)
+            with qcore.table_scope():
+                before = len(qpoch_calls)
+                apply(first).on_theta(GRID)
+                assert len(qpoch_calls) > before
+                before = len(qpoch_calls)
+                assert np.array_equal(apply(second).on_theta(GRID), want)
+                assert len(qpoch_calls) == before
 
     @staticmethod
     def _reproduced(coeffs, t, z, ctx):

@@ -5,6 +5,7 @@ the live mpmath cross-checks keep to a handful of points so the suite stays
 fast.
 """
 
+import contextlib
 import math
 
 import mpmath as mp
@@ -28,6 +29,7 @@ from qfrac.qcore import (
     qpoch_infinite_tail_bound,
     qpoch_real_index,
     settled_sum,
+    table_scope,
 )
 
 
@@ -219,6 +221,62 @@ class TestHProduct:
         a = h_product_z(z, [0.3, -0.5], ctx05)
         b = h_product_z(1.0 / z, [0.3, -0.5], ctx05)
         assert a == pytest.approx(b, rel=1e-13)
+
+
+class TestTableStore:
+    @staticmethod
+    def _counted(monkeypatch):
+        calls, orig = [], qcore.qpoch_infinite
+
+        def counted(a, ctx):
+            calls.append(1)
+            return orig(a, ctx)
+
+        monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+        return calls
+
+    def test_reused_only_within_a_scope_and_exactly(self, ctx05, monkeypatch):
+        calls = self._counted(monkeypatch)
+        z = np.exp(1j * np.linspace(0.1, 3.0, 7))
+        h_product_z(z, [0.3, -0.5], ctx05)
+        h_product_z(z, [0.3, -0.5], ctx05)
+        assert len(calls) == 2
+        with table_scope():
+            first = h_product_z(z, [0.3, -0.5], ctx05)
+            assert h_product_z(z.copy(), [0.3, -0.5], ctx05) is first
+            assert len(calls) == 3
+            # any other bit of the points, parameters or context is a new key
+            h_product_z(z * (1.0 + 2.0**-52), [0.3, -0.5], ctx05)
+            h_product_z(z, [0.3, -0.5 * (1.0 + 2.0**-52)], ctx05)
+            h_product_z(z, [0.3, -0.5, 0.0], ctx05)
+            h_product_z(z, [0.3, -0.5], QContext(q=0.5, eps_trunc=1e-14))
+            h_product_z(z[:6], [0.3, -0.5], ctx05)
+            assert len(calls) == 8
+        h_product_z(z, [0.3, -0.5], ctx05)
+        assert len(calls) == 9
+
+    def test_stored_values_read_only(self, ctx05):
+        z = np.exp(1j * np.linspace(0.1, 3.0, 7))
+        for scope in (table_scope, contextlib.nullcontext):
+            with scope():
+                out = h_product_z(z, [0.3], ctx05)
+                assert not out.flags.writeable
+                assert isinstance(h_product_z(0.5j, [0.3], ctx05), complex)
+
+    def test_scopes_nest_and_close_on_raise(self, ctx05, monkeypatch):
+        calls = self._counted(monkeypatch)
+        z = np.exp(1j * np.linspace(0.1, 3.0, 7))
+        with table_scope():
+            h_product_z(z, [0.3], ctx05)
+            with pytest.raises(NonConvergent):
+                with table_scope():
+                    h_product_z(z, [0.3], ctx05)
+                    raise NonConvergent("forced")
+            h_product_z(z, [0.3], ctx05)
+        assert len(calls) == 2
+        with table_scope():
+            h_product_z(z, [0.3], ctx05)
+        assert len(calls) == 3
 
 
 class TestJacobiTripleProduct:

@@ -1,9 +1,12 @@
 """Polynomial families, weights, bases and the q-exponential."""
 
+import contextlib
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qfrac import qcore
 from qfrac.context import QContext
 from qfrac.errors import DivisionNearZero, DomainError, NonConvergent, PoleOnContour
 from qfrac.qcore import h_product_z, qpoch_finite, qpoch_infinite, euler_product
@@ -205,6 +208,25 @@ class TestPoisson:
                 assert np.max(np.abs(node - want) / np.abs(want)) <= 1e-13
                 want = poisson_kernel_z(zeta, z, t, ctx_all)
                 assert np.max(np.abs(kernel - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.4, -0.35, 0.3768])
+    def test_batch_equals_pointwise_product_form(self, ctx_all, t):
+        # I0b takes its 2 x 9 product-form values from one call: bit for bit
+        # the values of one call per point
+        phis, thetas = np.array([np.pi / 4.0, 2.0]), theta_grid(9)
+        got = poisson_kernel_z(np.exp(1j * phis), np.exp(1j * thetas), t, ctx_all)
+        want = [[poisson_kernel(float(th), ph, t, ctx_all) for th in thetas] for ph in phis]
+        assert np.array_equal(got, np.array(want))
+
+    def test_factors_are_read_only(self, ctx05):
+        # inside an identity case and outside one alike
+        factors = poisson_factors(np.exp(1j * theta_grid(5)), 0.4, (0.3,), (-0.6,), ctx05)
+        for scope in (qcore.table_scope, contextlib.nullcontext):
+            with scope():
+                for out in factors(np.exp(1j * np.linspace(0.0, np.pi, 9))):
+                    assert not out.flags.writeable
+                    with pytest.raises(ValueError):
+                        out[0] = 0.0
 
     def test_positivity(self, ctx05, rng):
         for _ in range(10):

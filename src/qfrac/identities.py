@@ -45,7 +45,6 @@ from .qfunctions import (
     hermite_cq_all,
     poisson_factors,
     poisson_kernel,
-    poisson_kernel_z,
     q_exponential,
     q_exponential_x,
     theta_grid,
@@ -205,10 +204,9 @@ def _run_I0a(params, variant, ctx, tol):
 def _run_I0b(params, variant, ctx, tol):
     """Poisson kernel: series form == product form."""
     t = params.get("t", 0.4)
-    thetas = theta_grid(9)
-    phis = [np.pi / 4.0, 2.0]
-    lhs = [poisson_kernel(float(th), ph, t, ctx, form="series") for th in thetas for ph in phis]
-    rhs = poisson_kernel_z(np.exp(1j * np.array(phis)), np.exp(1j * thetas), t, ctx).T.ravel()
+    thetas, phis = theta_grid(9)[:, None], np.array([np.pi / 4.0, 2.0])
+    lhs = poisson_kernel(thetas, phis, t, ctx, form="series").ravel()
+    rhs = poisson_kernel(thetas, phis, t, ctx, form="product").ravel()
     return _resid(lhs, rhs, tol, notes=f"t={t}")
 
 

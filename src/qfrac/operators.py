@@ -7,7 +7,8 @@ operand on the unit circle, but their *outputs* extend off the circle (the
 angle enters the kernel only through parameters of modulus q^{a/2} or r), and
 divided differences consume that headroom one q^{1/2} layer per application.
 Composing past the annulus raises AnnulusExhausted instead of silently
-evaluating a wrong branch of the integral representation.
+evaluating a wrong branch of the integral representation.  An integral
+operator's output memoizes its values per exact point z, never per neighbour.
 
 The integral operators state where their integrand stops being analytic:
 the kernel's peak at phi = |arg z| with its poles' distance from the contour,
@@ -73,8 +74,6 @@ __all__ = [
     "adjoint_pairing",
 ]
 
-_MEMO_GRID = 1e-12
-
 
 @dataclass
 class KParams:
@@ -136,8 +135,9 @@ class AnalyticFn:
     eval maps a complex ndarray of z values to values; it must satisfy
     eval(z) == eval(1/z).  Evaluation is permitted on the unit circle always,
     and elsewhere only for rho < min(|z|, 1/|z|).  Operator outputs memoize
-    pointwise values on a 1e-12-quantized z grid so identity checks do not
-    repeat quadratures.
+    (memoize=True) one value per distinct point, keyed by the exact z: a
+    bit-exact repeat of a point is read back, and every other point is
+    computed from itself.
     """
 
     eval: object
@@ -156,19 +156,15 @@ class AnalyticFn:
                 f"{self.label or 'function'} valid on ({self.annulus_rho:.6g}, "
                 f"{1/self.annulus_rho:.6g}); requested |z| outside"
             )
-        if not self.memoize:
+        if self.memoize:
+            keys = zv.tolist()
+            missing = [k for k in keys if k not in self._memo]
+            if missing:
+                vals = np.asarray(self.eval(np.array(missing)), dtype=np.complex128)
+                self._memo.update(zip(missing, vals.tolist()))
+            out = np.array([self._memo[k] for k in keys], dtype=np.complex128)
+        else:
             out = np.asarray(self.eval(zv), dtype=np.complex128)
-            return out if np.ndim(z) else complex(out[0])
-        keys = [
-            (int(round(w.real / _MEMO_GRID)), int(round(w.imag / _MEMO_GRID)))
-            for w in zv
-        ]
-        missing = [i for i, k in enumerate(keys) if k not in self._memo]
-        if missing:
-            vals = np.asarray(self.eval(zv[missing]), dtype=np.complex128)
-            for i, v in zip(missing, vals):
-                self._memo[keys[i]] = complex(v)
-        out = np.array([self._memo[k] for k in keys], dtype=np.complex128)
         return out if np.ndim(z) else complex(out[0])
 
     def on_theta(self, theta):
@@ -292,13 +288,13 @@ def poisson_integral(t, g, h_params, g_strip, z, pref, ctx: QContext) -> QuadRes
     return integrate_theta(integrand, ctx, strip=g_strip, peaks=peaks, poles=h_poles(h_params))
 
 
-def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, label,
+def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, label,
                       ctx: QContext) -> AnalyticFn:
     """The operator f -> pref_const h(x; pref_params) * poisson_integral of
     the operand f against 1/h(.; params) at t, shared by D_q^{-1}, K_{a,c}
     and T(a,b,r).  f is analytic as far as its annulus allows.  The output
-    carries annulus rho and memoizes its pointwise quadratures.  The
-    prefactor h(z; pref_params) is an h_product_z, kept per z within an
+    carries annulus max(|t|, 1e-9) and memoizes its pointwise quadratures.
+    The prefactor h(z; pref_params) is an h_product_z, kept per z within an
     identity case like the integrand's tables."""
     g_strip = _annulus_strip(f)
 
@@ -307,7 +303,7 @@ def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, rho, la
         res = poisson_integral(t, f, params, g_strip, zv, pref, ctx)
         return np.atleast_1d(converged_value(res, label))
 
-    return AnalyticFn(ev, rho, label=label, memoize=True)
+    return AnalyticFn(ev, max(abs(t), 1e-9), label=label, memoize=True)
 
 
 def k_norm(a, c, q, n=0, factor=1.0):
@@ -343,7 +339,7 @@ def apply_K(p: KParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     a, c, q = p.a, p.c, ctx.q
     qa2 = q ** (a / 2.0)
     return _poisson_operator(qa2, f, [-1.0 / c, -c * q], k_norm(a, c, q),
-                             [-c * q ** (1.0 - a / 2.0), -qa2 / c], qa2,
+                             [-c * q ** (1.0 - a / 2.0), -qa2 / c],
                              f"K[{a},{c}]({f.label})", ctx)
 
 
@@ -360,7 +356,7 @@ def dq_inverse(c: float, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     q = ctx.q
     rq = math.sqrt(q)
     return _poisson_operator(rq, f, [-1.0 / c, -c * q], (1.0 / rq) * (1.0 - q) / (2.0 * c),
-                             [-c * rq, -rq / c], rq, f"Dq^-1[{c}]({f.label})", ctx)
+                             [-c * rq, -rq / c], f"Dq^-1[{c}]({f.label})", ctx)
 
 
 def apply_K_eigen(p: KParams, n: int, theta, ctx: QContext):
@@ -500,8 +496,7 @@ def apply_T(p: TParams, f: AnalyticFn, ctx: QContext) -> AnalyticFn:
     degenerates to the rank-one projection onto h(.; a, b), since P_0 = 1)."""
     p.validate(ctx)
     a, b, r = p.a, p.b, p.r
-    return _poisson_operator(r, f, [a, b], 1.0, [a, b], max(abs(r), 1e-9),
-                             f"T[{a},{b},{r}]({f.label})", ctx)
+    return _poisson_operator(r, f, [a, b], 1.0, [a, b], f"T[{a},{b},{r}]({f.label})", ctx)
 
 
 def _g_weight(z, a, b, ctx: QContext):

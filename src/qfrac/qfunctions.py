@@ -182,28 +182,33 @@ def weight_wH(theta, ctx: QContext):
 
 
 def poisson_kernel(theta, phi, t, ctx: QContext, form: str = "product"):
-    """Poisson kernel of the continuous q-Hermite polynomials.
+    """Poisson kernel of the continuous q-Hermite polynomials, theta
+    broadcast against phi (scalar angles give a complex).
 
-    form="series":  sum_n H_n(cos theta) H_n(cos phi) t^n / (q; q)_n
+    form="series":  sum_n H_n(cos theta) H_n(cos phi) t^n / (q; q)_n, one
+                    settled_sum over every pair
     form="product": (t^2; q)_oo / prod (t e^{+-i(theta +- phi)}; q)_oo
 
     Requires |t| < 1; positive for real angles and 0 < t < 1.
     """
     if abs(t) >= 1.0:
         raise DomainError("poisson_kernel needs |t| < 1")
+    shape = np.broadcast(theta, phi).shape
+    th, ph = (np.broadcast_to(a, shape).ravel() for a in (theta, phi))
     if form == "product":
-        return complex(poisson_kernel_z(np.exp(1j * phi), np.exp(1j * theta), t, ctx)[0, 0])
-    if form != "series":
+        val = poisson_kernel_z(np.exp(1j * ph)[None, :], np.exp(1j * th), t, ctx)[0]
+    elif form == "series":
+        x, h = np.cos([th, ph]), None
+
+        def terms(n):
+            nonlocal h
+            h = hermite_cq_all(n[-1], x, ctx, head=h)
+            return _tn_over_qn(t, n[-1], ctx)[n, None] * h[n, 0] * h[n, 1]
+
+        val = settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "poisson series")[0]
+    else:
         raise ValueError("form must be 'series' or 'product'")
-
-    x, h = [math.cos(theta), math.cos(phi)], None
-
-    def terms(n):
-        nonlocal h
-        h = hermite_cq_all(n[-1], x, ctx, head=h)
-        return _tn_over_qn(t, n[-1], ctx)[n] * h[n, 0] * h[n, 1]
-
-    return complex(settled_sum(terms, ctx.eps_trunc, 1.0, ctx, "poisson series")[0])
+    return val.reshape(shape) if shape else complex(val[0])
 
 
 def _on_unit_circle(w) -> bool:

@@ -2,7 +2,8 @@
 
 Tracer() looks every traced entry point up by name and wraps
 AnalyticFn.__call__, which reads the memo; a renamed entry point or a
-removed memo fails here instead of in `bench/run.py --trace 1`.
+removed memo fails here instead of in `bench/run.py --trace 1`, and the
+hit counter is checked against an identity case that really repeats points.
 """
 
 import importlib.util
@@ -29,3 +30,15 @@ def test_tracer_wraps_the_traced_layers():
     # inside a case the tables cut Pochhammer calls, not operator applications
     assert tracer.counts["operators.applications"] == 4
     assert tracer.calls["qcore.qpoch_infinite"] > 0
+
+
+def test_memo_hits_are_counted():
+    # I4's rejected variant on the bench's operator_grid parameters: the
+    # Chebyshev fit asks the inner K again at the same trapezoid nodes, bit
+    # for bit
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run_case(IdentityCase("I4", {"q": 0.3, "a": 0.5, "c": 1.2, "grid_points": 5},
+                              variant="full"))
+    assert tracer.counts["operators.memo_hits"] > 0
+    assert tracer.counts["operators.memo_misses"] > 0

@@ -42,6 +42,25 @@ class TestAnalyticFn:
         assert np.array_equal(a, b)
         assert calls["n"] == len(GRID)
 
+    def test_memo_keys_the_exact_point(self, ctx05):
+        # z(1 + 1e-13) is a point of its own, in a later call and within one
+        # batch; only a bit-exact repeat is read back from the memo
+        asked = []
+
+        def ev(z):
+            asked.extend(z.tolist())
+            return np.array(z)
+
+        z = 0.6 + 0.8j  # z and w share one cell of a 1e-12 grid
+        w = z * (1.0 + 1e-13)
+        f = op.AnalyticFn(ev, 1e-9, memoize=True)
+        assert f(z) == z and f(w) == w
+        assert asked == [z, w]
+        assert f(z) == z and f(np.array([w, z]))[0] == w
+        assert asked == [z, w] and len(f._memo) == 2
+        g = op.AnalyticFn(ev, 1e-9, memoize=True)
+        assert g(np.array([z, w])).tolist() == [z, w]
+
 
 class TestParams:
     def test_k_window(self, ctx05):

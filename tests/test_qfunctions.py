@@ -211,12 +211,30 @@ class TestPoisson:
 
     @pytest.mark.parametrize("t", [0.4, -0.35, 0.3768])
     def test_batch_equals_pointwise_product_form(self, ctx_all, t):
-        # I0b takes its 2 x 9 product-form values from one call: bit for bit
-        # the values of one call per point
+        # the 2 x 9 matrix on shared nodes from one call: bit for bit the
+        # values of one call per point
         phis, thetas = np.array([np.pi / 4.0, 2.0]), theta_grid(9)
         got = poisson_kernel_z(np.exp(1j * phis), np.exp(1j * thetas), t, ctx_all)
         want = [[poisson_kernel(float(th), ph, t, ctx_all) for th in thetas] for ph in phis]
         assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("t", [0.4, -0.35, 0.3768])
+    def test_broadcast_equals_pointwise(self, ctx_all, t):
+        # theta broadcast against phi, as I0b asks for its values: the product
+        # form bit for bit one call per pair; the series form shares one
+        # stopping rule, set by the largest sum, so a pair may take terms past
+        # its own stop, and the gap stays below eps_trunc (1e-15) times that sum
+        thetas, phis = theta_grid(9)[:, None], np.array([np.pi / 4.0, 2.0, 0.3])
+        for form in ("product", "series"):
+            got = poisson_kernel(thetas, phis, t, ctx_all, form=form)
+            want = np.array([[poisson_kernel(th, ph, t, ctx_all, form=form) for ph in phis]
+                             for th in thetas[:, 0]])
+            assert got.shape == (9, 3)
+            assert isinstance(poisson_kernel(0.3, 2.0, t, ctx_all, form=form), complex)
+            if form == "product":
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_factors_are_read_only(self, ctx05):
         # inside an identity case and outside one alike

@@ -11,7 +11,8 @@ so repeated applications never leave the polynomial space and consume no
 annulus.  Validity is monitored through coefficient decay: evaluating a
 divided-difference chain of an analytic function is legitimate exactly when
 the sampled coefficients fall below the tail tolerance before the q^{-n/2}
-amplification of D_q eats them.
+amplification of D_q eats them.  Samples may carry a trailing axis of
+stacked functions, one column of coefficients each.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     cosmat = np.cos(np.outer(j, j) * (np.pi / n))
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
-    coeffs = (2.0 / n) * (cosmat @ (values * w))
+    coeffs = (2.0 / n) * (cosmat @ (values * w.reshape((-1,) + (1,) * (values.ndim - 1))))
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
     return coeffs
@@ -43,19 +44,19 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
 def cheb_fit_adaptive(fn_theta):
     """Fit fn(theta_j) on Lobatto grids of N = 32, 64, ..., 512 until the
     coefficient tail (last eighth) drops below 1e-13 relative to the largest
-    coefficient."""
+    coefficient, in every column of stacked values."""
     n = 32
     while True:
         thetas = np.arange(n + 1) * (np.pi / n)
         vals = np.asarray(fn_theta(thetas), dtype=np.complex128)
         coeffs = cheb_coeffs(vals)
-        top = float(np.max(np.abs(coeffs)))
-        tail = float(np.max(np.abs(coeffs[-max(2, n // 8):])))
-        if tail <= 1e-13 * max(top, 1e-300):
+        top = np.max(np.abs(coeffs), axis=0)
+        tail = np.max(np.abs(coeffs[-max(2, n // 8):]), axis=0)
+        if np.all(tail <= 1e-13 * np.maximum(top, 1e-300)):
             return coeffs
         if n >= 512:
             raise NonConvergent(
-                f"Chebyshev coefficients still {tail:.2e} at degree {n}"
+                f"Chebyshev coefficients still {np.max(tail):.2e} at degree {n}"
             )
         n *= 2
 

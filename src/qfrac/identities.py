@@ -257,13 +257,13 @@ def _run_I0d(params, variant, ctx, tol):
 # ---------------------------------------------------------------------------
 
 def _composition(outer, inner, whole, fns, params, tol):
-    """A composition law outer(inner f) == whole f on the test functions fns."""
+    """A composition law outer(inner f) == whole f on the test functions fns,
+    stacked through one application of each operator."""
     grid = _grid(params)
-    parts = []
-    for f in fns:
-        lhs = outer(inner(f)).on_theta(grid)
-        parts.append(_resid(lhs, whole(f).on_theta(grid), tol, notes=f.label))
-    return _merge(parts, tol)
+    f = op.stack(fns)
+    lhs, rhs = outer(inner(f)).on_theta(grid), whole(f).on_theta(grid)
+    return _merge([_resid(lhs[:, j], rhs[:, j], tol, notes=g.label) for j, g in enumerate(fns)],
+                  tol)
 
 
 def _run_I1(params, variant, ctx, tol):
@@ -320,17 +320,18 @@ def _run_I3(params, variant, ctx, tol):
 
 
 def _eigen_actions(apply, basis, eigen, ns, params, tol, notes="", shared_scale=False):
-    """An eigen-action apply(f_n) == eigen(n, f_n, grid), f_n = basis(n), for
-    each n in ns, judged on each part's own scale or, with shared_scale (for
-    eigenvalues r^n that fall to rounding level), on the largest of them."""
+    """An eigen-action apply(f) == eigen(f, grid), f = basis(ns) stacking f_n
+    for each n in ns, one column each, judged on each column's own scale or,
+    with shared_scale (for eigenvalues r^n that fall to rounding level), on
+    the largest of them."""
     grid = _grid(params)
-    sides = []
-    for n in ns:
-        f = basis(n)
-        sides.append((apply(f).on_theta(grid), eigen(n, f, grid)))
+    ns = list(ns)
+    f = basis(ns)
+    lhs, rhs = apply(f).on_theta(grid), eigen(f, grid)
     if shared_scale:
-        return _resid(*map(np.concatenate, zip(*sides)), tol, notes)
-    return _merge([_resid(*s, tol, notes=f"n={n}") for n, s in zip(ns, sides)], tol, notes=notes)
+        return _resid(lhs, rhs, tol, notes)
+    return _merge([_resid(lhs[:, j], rhs[:, j], tol, notes=f"n={n}") for j, n in enumerate(ns)],
+                  tol, notes=notes)
 
 
 def _run_I4(params, variant, ctx, tol):
@@ -339,8 +340,8 @@ def _run_I4(params, variant, ctx, tol):
     p = op.KParams(params["a"], params["c"])
     expo = {"half": 0.5, "full": 1.0}[variant or "half"]
     return _eigen_actions(lambda f: op.left_inverse_apply(p, f, ctx, middle_exponent=expo),
-                          lambda n: op.eigen_k_basis(p.c, n, ctx),
-                          lambda n, f, grid: np.asarray(f.on_theta(grid)), (1, 2), params, tol)
+                          lambda ns: op.eigen_k_basis(p.c, ns, ctx),
+                          lambda f, grid: np.asarray(f.on_theta(grid)), (1, 2), params, tol)
 
 
 def _run_I5(params, variant, ctx, tol):
@@ -348,8 +349,9 @@ def _run_I5(params, variant, ctx, tol):
     p = op.KParams(params["a"], params["c"])
     p.validate(ctx)
     nmax = int(params.get("n", 8))
-    return _eigen_actions(_k_op(p.a, p.c, ctx), lambda n: op.eigen_k_basis(p.c, n, ctx),
-                          lambda n, f, grid: op.apply_K_eigen(p, n, grid, ctx),
+    return _eigen_actions(_k_op(p.a, p.c, ctx), lambda ns: op.eigen_k_basis(p.c, ns, ctx),
+                          lambda f, grid: np.stack([op.apply_K_eigen(p, n, grid, ctx)
+                                                    for n in range(nmax + 1)], axis=-1),
                           range(nmax + 1), params, tol, notes=f"n<={nmax}")
 
 
@@ -370,12 +372,10 @@ def _run_I7(params, variant, ctx, tol):
     """Generator at a = 0 vs (K_{d,c} - I)/d, Richardson-extrapolated."""
     c = params["c"]
     grid = _grid(params)
-    parts = []
-    for n in (1, 3):
-        lhs = op.apply_J_series(op.KParams(0.0, c), n, grid, ctx)
-        rhs = op.generator_fd(op.eigen_k_basis(c, n, ctx), 0.0, c, grid, ctx, delta=2e-3)
-        parts.append(_resid(lhs, rhs, tol, notes=f"n={n}"))
-    return _merge(parts, tol)
+    ns = [1, 3]
+    rhs = op.generator_fd(op.eigen_k_basis(c, ns, ctx), 0.0, c, grid, ctx, delta=2e-3)
+    return _merge([_resid(op.apply_J_series(op.KParams(0.0, c), n, grid, ctx), rhs[:, j], tol,
+                          notes=f"n={n}") for j, n in enumerate(ns)], tol)
 
 
 def _run_I8(params, variant, ctx, tol):
@@ -473,13 +473,11 @@ def _run_I12(params, variant, ctx, tol):
     a, c, tval = params["a"], params["c"], params["tval"]
     base = variant or "q2"
     p = op.KParams(a, c)
-    parts = []
-    for n in (0, 1):
-        f = op.eigen_k_basis(c, n, ctx)
-        lhs = op.adjoint_pairing(p, f, tval, "left", ctx, base=base)
-        rhs = op.adjoint_pairing(p, f, tval, "right", ctx, base=base)
-        parts.append(_resid([lhs], [rhs], tol, notes=f"n={n}"))
-    return _merge(parts, tol, notes=f"base={base}")
+    f = op.eigen_k_basis(c, [0, 1], ctx)
+    lhs = op.adjoint_pairing(p, f, tval, "left", ctx, base=base)
+    rhs = op.adjoint_pairing(p, f, tval, "right", ctx, base=base)
+    return _merge([_resid([lhs[n]], [rhs[n]], tol, notes=f"n={n}") for n in (0, 1)], tol,
+                  notes=f"base={base}")
 
 
 # ---------------------------------------------------------------------------
@@ -698,33 +696,27 @@ def _run_I16(params, variant, ctx, tol):
                         lambda p1, p2: bilinear_series_6(p1, p2, p, a3, a4, ctx, tol=1e-11),
                         t_base, ctx, tol)
 
-    # reduced triple integral: Itilde_n(theta) through the same Poisson kernel
-    def itilde(n, thetas):
-        zv = np.exp(1j * np.atleast_1d(thetas))
-        res = op.poisson_integral(q ** (a / 2.0),
-                                  lambda zeta: aw_polynomial_x(n, zeta.real, t_base, ctx),
-                                  [-1.0 / c, -c * q], math.inf, zv, 1.0, ctx)
-        return np.atleast_1d(converged_value(res, f"Itilde_{n}"))
-
+    # reduced triple integrals: Itilde_0 and Itilde_1 from one application of
+    # the same Poisson kernel, and the products (0,0), (1,1), (0,1) of
+    # w0 Itilde_n Itilde_m as one three-component integral
     tsh = _shift6(a, c, a3, a4, q)
     w0 = _coupling_factors((), 0.0, tsh, ctx)
 
-    def triple(m, n):
-        def igr(ths):
-            i_n = itilde(n, ths)
-            i_m = i_n if m == n else itilde(m, ths)
-            return w0(np.exp(1j * ths))[0][:, 0] * i_n * i_m
+    def igr(ths):
+        res = op.poisson_integral(q ** (a / 2.0),
+                                  lambda zeta: aw_polynomial_all(1, zeta.real, t_base, ctx).T,
+                                  [-1.0 / c, -c * q], math.inf, np.exp(1j * ths), 1.0, ctx)
+        i = converged_value(res, "Itilde_0,1")
+        return w0(np.exp(1j * ths))[0][:, :1] * i[:, [0, 1, 1]] * i[:, [0, 1, 0]]
 
-        # Itilde_n has annulus q^{a/2}; w0 keeps the poles of 1/h(.; t3, t4)
-        res = integrate_theta(igr, ctx, strip=-math.log(q ** (a / 2.0)),
-                              poles=h_poles([tsh.t3, tsh.t4]))
-        value = converged_value(res, f"triple integral ({m},{n})")
-        return complex(2.0 * np.pi / euler_product(ctx) * value)
-
+    # Itilde_n has annulus q^{a/2}; w0 keeps the poles of 1/h(.; t3, t4)
+    res = integrate_theta(igr, ctx, strip=-math.log(q ** (a / 2.0)),
+                          poles=h_poles([tsh.t3, tsh.t4]))
+    triple = 2.0 * np.pi / euler_product(ctx) * converged_value(res, "triple integrals")
     An, _, Cn = section6_constants(np.arange(2), a, c, a3, a4, ctx)
     diag = An * Cn**2
-    parts += [_resid([triple(n, n)], [diag[n]], tol, notes=f"int2 diag n={n}") for n in (0, 1)]
-    off, scale = abs(triple(0, 1)), float(np.max(np.abs(diag)))
+    parts += [_resid([triple[n]], [diag[n]], tol, notes=f"int2 diag n={n}") for n in (0, 1)]
+    off, scale = abs(triple[2]), float(np.max(np.abs(diag)))
     parts.append(Residual(off, off / scale, 1, scale, off / scale < 1e-7,
                           notes="int2 offdiag (0,1)"))
     return _merge(parts, tol)
@@ -761,8 +753,8 @@ def _run_I19(params, variant, ctx, tol):
     tp.validate(ctx)
     nmax = int(params.get("n", 6))
     return _eigen_actions(_t_op(tp.a, tp.b, tp.r, ctx),
-                          lambda n: op.eigen_t_basis(tp.a, tp.b, n, ctx),
-                          lambda n, f, grid: tp.r**n * np.asarray(f.on_theta(grid)),
+                          lambda ns: op.eigen_t_basis(tp.a, tp.b, ns, ctx),
+                          lambda f, grid: tp.r ** np.arange(nmax + 1) * f.on_theta(grid),
                           range(nmax + 1), params, tol, notes=f"n<={nmax}", shared_scale=True)
 
 
@@ -937,10 +929,10 @@ def run_identity(case: IdentityCase, base_ctx: QContext | None = None) -> Residu
     """Evaluate one identity case; raises CaseInvalid/ParamDomain on
     parameter violations (a rejected case is never a silent pass).
 
-    The case runs inside one qcore.table_scope: a Poisson-kernel evaluation
-    or h product that repeats an earlier one of the same case (same points,
-    parameters and context) reads its stored value back, bit for bit, and
-    the store is dropped when the case returns or raises."""
+    The case runs inside one qcore.table_scope: an h product that repeats
+    an earlier one of the same case (same points, parameters and context)
+    reads its stored value back, bit for bit, and the store is dropped when
+    the case returns or raises."""
     spec = REGISTRY.get(case.id)
     if spec is None:
         raise CaseInvalid(f"unknown identity id {case.id!r}")

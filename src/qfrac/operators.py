@@ -10,6 +10,10 @@ Composing past the annulus raises AnnulusExhausted instead of silently
 evaluating a wrong branch of the integral representation.  An integral
 operator's output memoizes its values per exact point z, never per neighbour.
 
+Operands may be stacked (stack, or the eigenbases over a list of degrees),
+one trailing column each; every operator applies to all columns at once, on
+one quadrature rule.
+
 The integral operators state where their integrand stops being analytic:
 the kernel's peak at phi = |arg z| with its poles' distance from the contour,
 for each z, the poles of the operand's 1/h factor, and the operand's annulus.
@@ -55,6 +59,7 @@ __all__ = [
     "KParams",
     "TParams",
     "analytic_from_x",
+    "stack",
     "eigen_k_basis",
     "eigen_t_basis",
     "apply_Dq",
@@ -132,12 +137,12 @@ def _min_factor_check(params, ctx: QContext) -> None:
 class AnalyticFn:
     """An evaluable function of x = (z + 1/z)/2 with annulus bookkeeping.
 
-    eval maps a complex ndarray of z values to values; it must satisfy
-    eval(z) == eval(1/z).  Evaluation is permitted on the unit circle always,
-    and elsewhere only for rho < min(|z|, 1/|z|).  Operator outputs memoize
-    (memoize=True) one value per distinct point, keyed by the exact z: a
-    bit-exact repeat of a point is read back, and every other point is
-    computed from itself.
+    eval maps a complex ndarray of z values to values, with a trailing
+    column per stacked operand if any; it must satisfy eval(z) == eval(1/z).
+    Evaluation is permitted on the unit circle always, and elsewhere only
+    for rho < min(|z|, 1/|z|).  Operator outputs memoize (memoize=True) one
+    value per distinct point, keyed by the exact z: a bit-exact repeat of a
+    point is read back, and every other point is computed from itself.
     """
 
     eval: object
@@ -165,7 +170,7 @@ class AnalyticFn:
             out = np.array([self._memo[k] for k in keys], dtype=np.complex128)
         else:
             out = np.asarray(self.eval(zv), dtype=np.complex128)
-        return out if np.ndim(z) else complex(out[0])
+        return out if np.ndim(z) else out[0] if out.ndim > 1 else complex(out[0])
 
     def on_theta(self, theta):
         """Values on the unit circle at z = e^{i theta}."""
@@ -182,24 +187,41 @@ def analytic_from_x(fn, rho: float = 1e-9, label: str = "") -> AnalyticFn:
     return AnalyticFn(lambda z: fn((z + 1.0 / z) / 2.0), rho, label)
 
 
-def eigen_k_basis(c: float, n: int, ctx: QContext) -> AnalyticFn:
-    """h(x; -1/c, -c q) H_n(x | q): the K_{a,c} eigenfunction of index n."""
+def stack(fns) -> AnalyticFn:
+    """The list of operands fns as one function with a column per operand,
+    values of shape (len(z), len(fns)), valid where all of them are."""
+    return AnalyticFn(lambda z: np.stack([np.asarray(f(z)) for f in fns], axis=-1),
+                      max(f.annulus_rho for f in fns), label=",".join(f.label for f in fns))
+
+
+def _h_hermite_basis(params, n, label, ctx: QContext) -> AnalyticFn:
+    """h(x; params) H_n(x | q) for one degree n, or stacked over a list of
+    degrees from one h product and one recurrence."""
+    degrees = np.atleast_1d(n)
 
     def ev(z):
-        x = (z + 1.0 / z) / 2.0
-        return h_product_z(z, [-1.0 / c, -c * ctx.q], ctx) * hermite_cq_all(n, x, ctx)[n]
+        hn = hermite_cq_all(int(degrees.max()), (z + 1.0 / z) / 2.0, ctx)[degrees]
+        out = h_product_z(z, params, ctx) * hn
+        return out[0] if np.ndim(n) == 0 else out.T
 
-    return AnalyticFn(ev, 1e-9, label=f"h(x;-1/c,-cq) H_{n}")
+    return AnalyticFn(ev, 1e-9, label=f"{label} H_{n}")
 
 
-def eigen_t_basis(a, b, n: int, ctx: QContext) -> AnalyticFn:
-    """h(x; a, b) H_n(x | q): the T(a,b,r) eigenfunction of index n."""
+def eigen_k_basis(c: float, n, ctx: QContext) -> AnalyticFn:
+    """h(x; -1/c, -c q) H_n(x | q): the K_{a,c} eigenfunction of index n, or
+    one column per degree for a list n."""
+    return _h_hermite_basis([-1.0 / c, -c * ctx.q], n, "h(x;-1/c,-cq)", ctx)
 
-    def ev(z):
-        x = (z + 1.0 / z) / 2.0
-        return h_product_z(z, [a, b], ctx) * hermite_cq_all(n, x, ctx)[n]
 
-    return AnalyticFn(ev, 1e-9, label=f"h(x;a,b) H_{n}")
+def eigen_t_basis(a, b, n, ctx: QContext) -> AnalyticFn:
+    """h(x; a, b) H_n(x | q): the T(a,b,r) eigenfunction of index n, or one
+    column per degree for a list n."""
+    return _h_hermite_basis([a, b], n, "h(x;a,b)", ctx)
+
+
+def _trail(a, n: int):
+    """a with n trailing length-1 axes, to broadcast against n operand axes."""
+    return np.reshape(a, np.shape(a) + (1,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +232,15 @@ def _dq_quotient(f: AnalyticFn, z, q: float):
     rq = math.sqrt(q)
     num = f(rq * z) - f(z / rq)
     den = (rq - 1.0 / rq) * (z - 1.0 / z) / 2.0
-    return num / den
+    return num / _trail(den, np.ndim(num) - np.ndim(den))
 
 
 def _divided_difference(quot, f: AnalyticFn, scale, label, ctx: QContext) -> AnalyticFn:
     """z -> scale * quot(z) for a divided-difference quotient quot of f,
     which consumes one q^{1/2} layer of f's annulus.  The removable
     singularity at z^2 = 1 is evaluated by the symmetric offset
-    z(1 +- delta), delta = 1e-6, Richardson-extrapolated once."""
+    z(1 +- delta), delta = 1e-6, Richardson-extrapolated once; every point
+    goes to quot in one batch."""
     rq = math.sqrt(ctx.q)
     if f.annulus_rho > rq * (1.0 + 1e-12):
         raise AnnulusExhausted(
@@ -226,17 +249,14 @@ def _divided_difference(quot, f: AnalyticFn, scale, label, ctx: QContext) -> Ana
 
     def ev(z):
         zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        out = np.empty_like(zv)
         regular = np.abs(zv * zv - 1.0) > 1e-4
-        if np.any(regular):
-            out[regular] = quot(zv[regular])
-        for i in np.nonzero(~regular)[0]:
-            z0 = zv[i]
-            vals = {}
-            for d in (1e-6, 5e-7):
-                pts = np.array([z0 * (1 + d), z0 * (1 - d)])
-                vals[d] = 0.5 * np.sum(quot(pts))
-            out[i] = (4.0 * vals[5e-7] - vals[1e-6]) / 3.0
+        n = int(np.sum(regular))
+        offsets = 1.0 + np.array([1e-6, -1e-6, 5e-7, -5e-7])
+        vals = quot(np.concatenate((zv[regular], np.outer(zv[~regular], offsets).ravel())))
+        out = np.empty(zv.shape + vals.shape[1:], dtype=np.complex128)
+        out[regular] = vals[:n]
+        mean = 0.5 * vals[n:].reshape((-1, 2, 2) + vals.shape[1:]).sum(axis=2)  # at d, d/2
+        out[~regular] = (4.0 * mean[:, 1] - mean[:, 0]) / 3.0
         return scale * out
 
     return AnalyticFn(ev, min(f.annulus_rho / rq, 1.0), label=label)
@@ -259,15 +279,13 @@ def poisson_integral(t, g, h_params, g_strip, z, pref, ctx: QContext) -> QuadRes
     q-Hermite Poisson kernel.  g is the operand alone: it maps an array of
     nodes zeta = e^{i phi} to its values, is even in phi and analytic for
     |Im phi| < g_strip; the poles of 1/h(.; h_params) are stated as h_poles
-    gives them.  pref is a scalar or one value per z.
+    gives them.  pref is a scalar or one value per z.  g's values may carry
+    a trailing column per stacked operand, each integrated on the one rule.
 
     pref rides inside the integrand: it can span many orders of magnitude
     across a batch, and folding it in keeps every component O(1) for the
     per-component error budgets.  Each integrand evaluation takes the
-    weight, 1/h and the kernel from one poisson_factors evaluation; within
-    an identity case, a node batch that an earlier integral at the same z,
-    t and h_params met is read back from the case's store, so only g is
-    evaluated anew.
+    weight, 1/h and the kernel from one poisson_factors evaluation.
 
     The kernel of z_k peaks at phi = |arg(z_k sign t)| with its poles at
     |Im phi| = -ln(|t| max(|z_k|, 1/|z_k|)) (t = 0 makes it constant).
@@ -282,7 +300,10 @@ def poisson_integral(t, g, h_params, g_strip, z, pref, ctx: QContext) -> QuadRes
     def integrand(phis):
         zeta = np.exp(1j * phis)
         node, kernel = factors(zeta)
-        return node * g(zeta.ravel()).reshape(node.shape) * pref * kernel
+        gv = np.asarray(g(zeta.ravel()))
+        gv = gv.reshape(node.shape + gv.shape[1:])
+        cols = gv.ndim - node.ndim
+        return _trail(node, cols) * gv * _trail(pref, cols) * _trail(kernel, cols)
 
     peaks = h_poles(t * np.where(np.abs(z) >= 1.0, z, 1.0 / z)).T if t else None
     return integrate_theta(integrand, ctx, strip=g_strip, peaks=peaks, poles=h_poles(h_params))
@@ -295,7 +316,7 @@ def _poisson_operator(t, f: AnalyticFn, params, pref_const, pref_params, label,
     and T(a,b,r).  f is analytic as far as its annulus allows.  The output
     carries annulus max(|t|, 1e-9) and memoizes its pointwise quadratures.
     The prefactor h(z; pref_params) is an h_product_z, kept per z within an
-    identity case like the integrand's tables."""
+    identity case."""
     g_strip = _annulus_strip(f)
 
     def ev(zv):
@@ -447,7 +468,8 @@ def left_inverse_apply(p: KParams, f: AnalyticFn, ctx: QContext,
     that representation.  Coefficient decay is the runtime check that the
     composite really is analytic enough to absorb floor(a)+1 layers; if it
     is not, the tail never falls below tolerance and NonConvergent surfaces.
-    Nothing about the left-inverse identity itself is assumed.
+    Nothing about the left-inverse identity itself is assumed.  Stacked
+    operands share one fit grid; each column is differenced on its own.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
@@ -460,25 +482,28 @@ def left_inverse_apply(p: KParams, f: AnalyticFn, ctx: QContext,
 
     inner = apply_K(p, f, ctx)
     outer = apply_K(mid, inner, ctx)
-    coeffs = cheb_fit_adaptive(outer.on_theta)
-    # trim the sub-tolerance noise tail: D_q amplifies coefficient n by
-    # ~q^{-n/2} per application, so rounding-floor coefficients must not ride
-    # through the divided differences
-    mags = np.abs(coeffs)
-    keep = np.nonzero(mags > 1e-13 * mags.max())[0]
-    n_keep = max(int(keep[-1]) + 1 if keep.size else 1, m + 4)
-    coeffs = coeffs[:n_keep]
-    for _ in range(m):
-        coeffs = cheb_apply_dq(coeffs, q)
-
-    tail = np.abs(coeffs[-max(2, len(coeffs) // 8):]).max()
-    top = max(np.abs(coeffs).max(), 1e-300)
-    # empirical Bernstein decay -> conservative annulus for the interpolant
-    rho = min(0.999, max(1e-9, (tail / top) ** (1.0 / max(len(coeffs) - 1, 1))))
+    fit = cheb_fit_adaptive(outer.on_theta)
+    cols, rho = [], 1e-9
+    for coeffs in np.reshape(fit.T, (-1, len(fit))):
+        # trim the sub-tolerance noise tail: D_q amplifies coefficient n by
+        # ~q^{-n/2} per application, so rounding-floor coefficients must not
+        # ride through the divided differences
+        mags = np.abs(coeffs)
+        keep = np.nonzero(mags > 1e-13 * mags.max())[0]
+        n_keep = max(int(keep[-1]) + 1 if keep.size else 1, m + 4)
+        coeffs = coeffs[:n_keep]
+        for _ in range(m):
+            coeffs = cheb_apply_dq(coeffs, q)
+        cols.append(coeffs)
+        tail = np.abs(coeffs[-max(2, len(coeffs) // 8):]).max()
+        top = max(np.abs(coeffs).max(), 1e-300)
+        # empirical Bernstein decay -> conservative annulus for the interpolant
+        rho = max(rho, min(0.999, (tail / top) ** (1.0 / max(len(coeffs) - 1, 1))))
 
     def ev(z):
         x = (z + 1.0 / z) / 2.0
-        return cheb_eval(coeffs, x)
+        vals = [cheb_eval(coeffs, x) for coeffs in cols]
+        return vals[0] if fit.ndim == 1 else np.stack(vals, axis=-1)
 
     return AnalyticFn(ev, rho, label=f"Dq^{m} K[{b},{c_mid:.4g}] K[{a},{c}]({f.label})")
 
@@ -607,7 +632,8 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
     side="right": C R * integral of E_q(x; t q^{a/2}) f(x) w_H dx / h(x; -cq, -1/c)
 
     with C = k_norm(a, c, q) and R = eq_ratio(a, t, base); the suite decides
-    which Pochhammer base makes left == right.
+    which Pochhammer base makes left == right.  A stacked f gives one value
+    per operand.
     """
     p.validate(ctx)
     a, c, q = p.a, p.c, ctx.q
@@ -619,10 +645,13 @@ def adjoint_pairing(p: KParams, f: AnalyticFn, tval, side: str, ctx: QContext,
         def igr(phis):
             e = np.asarray(q_exponential(phis, t, ctx))
             zeta = np.exp(1j * phis)
-            return e * np.asarray(g(zeta)) * factors(zeta)[0][:, 0]
+            gv = np.asarray(g(zeta))
+            cols = gv.ndim - 1
+            return _trail(e, cols) * gv * _trail(factors(zeta)[0][:, 0], cols)
 
         res = integrate_theta(igr, ctx, strip=_annulus_strip(g), poles=h_poles(hpars))
-        return complex(converged_value(res, f"adjoint pairing, {side}"))
+        value = converged_value(res, f"adjoint pairing, {side}")
+        return complex(value) if np.ndim(value) == 0 else value
 
     if side == "left":
         return pairing(apply_K(p, f, ctx), tval, [-c * q ** (1.0 - a / 2.0), -q ** (a / 2.0) / c])

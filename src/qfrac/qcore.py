@@ -17,8 +17,8 @@ in blocks of 16, 16, 32, 64, ... new terms up to max_terms, NonConvergent
 past it.
 
 Within one identity case (table_scope, opened by identities.run_identity)
-the Poisson-kernel tables and the h products are computed once per exact key
-(stored); a call outside any case gets a fresh store of its own.
+the h products are computed once per exact key (stored); a call outside any
+case gets a fresh store of its own.
 
 Notation used throughout the docstrings:
 
@@ -50,7 +50,6 @@ __all__ = [
     "h_product_z",
     "h_poles",
     "table_scope",
-    "table_key",
     "stored",
     "settled_sum",
     "jtp_theta_series",
@@ -210,32 +209,18 @@ def table_scope():
         _TABLES.reset(token)
 
 
-def table_key(*parts) -> tuple:
-    """An exact key for stored: a str or QContext part as it is, anything
-    else (an array, a scalar, a parameter list) by its numpy dtype, shape
-    and bytes."""
-    key = []
-    for p in parts:
-        if not isinstance(p, (str, QContext)):
-            a = np.asarray(p)
-            p = (a.dtype.str, a.shape, a.tobytes())
-        key.append(p)
-    return tuple(key)
-
-
 def stored(key, compute):
-    """compute(), kept in the open table store under key (a table_key) and
-    returned from it to every later call with an equal key.  Stored arrays
-    are read-only.  A call outside any table_scope gets a fresh store of its
-    own, so nothing is reused there."""
+    """compute(), kept in the open table store under key, a hashable exact
+    key, and returned from it to every later call with an equal key.  A
+    stored array is read-only.  A call outside any table_scope gets a fresh
+    store of its own, so nothing is reused there."""
     store = _TABLES.get()
     if store is None:
         store = {}
     if key not in store:
         value = compute()
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         store[key] = value
     return store[key]
 
@@ -256,7 +241,9 @@ def h_product_z(z, params, ctx: QContext):
         args = np.stack([w for aj in params for w in (aj * zv, aj / zv)])
         return _maybe_scalar(np.prod(qpoch_infinite(args, ctx), axis=0), z)
 
-    return stored(table_key("h_product_z", zv, params, ctx), product)
+    pv = np.asarray(params)  # exact key: the bytes of the points and of the parameters
+    return stored(("h_product_z", zv.shape, zv.tobytes(), pv.dtype.str, pv.tobytes(), ctx),
+                  product)
 
 
 def h_poles(params):

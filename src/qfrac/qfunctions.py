@@ -8,9 +8,8 @@ three q-monomial bases, and the q-exponential.
 poisson_factors is the integrand of every Poisson-kernel integral (the
 operators' and the bilinear kernels' coupling integrals): per evaluation, the
 node factor w_H sin phi h(.; num) / h(.; den) and the product-form kernel
-from one qpoch_infinite call, the pair kept per node batch within an
-identity case.  poisson_kernel_z, the vectorized product form, is its kernel
-alone.
+from one qpoch_infinite call.  poisson_kernel_z, the vectorized product
+form, is its kernel alone.
 
 All grids are theta-grids on [0, pi]; integrals always fold the sin(theta)
 Jacobian into the integrand before quadrature so no endpoint singularity
@@ -33,8 +32,6 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
     settled_sum,
-    stored,
-    table_key,
 )
 
 __all__ = [
@@ -228,16 +225,12 @@ def poisson_factors(z, t, num, den, ctx: QContext):
                  the (m, len(z)) matrix; on |z| = 1, z = e^{i theta}, this is
                  poisson_kernel(theta, phi, t).
 
-    Every product of one evaluation comes from one qpoch_infinite call on
-    the concatenated arguments, so they share one truncation, set by the
-    largest modulus among them; the edge pair's first factor 1 - e^{2i phi}
-    is taken out, so its modulus 1 does not set it.  The constants of the
-    integral, (q; q)_oo / 2pi, (t^2; q)_oo, t z and t/z, are computed here,
-    once; an empty z gives the node factor alone.  Within an identity case
-    (qcore.stored), (t^2; q)_oo is kept per t, and each evaluation's read-only
-    (node, kernel) pair per exact (z, t, num, den, zeta): an integral that
-    meets a node batch of an earlier one at the same points, t and
-    parameters reads the pair back instead of recomputing it.
+    Every product of one evaluation, (t^2; q)_oo included, comes from one
+    qpoch_infinite call on the concatenated arguments, so they share one
+    truncation, set by the largest modulus among them; the edge pair's first
+    factor 1 - e^{2i phi} is taken out, so its modulus 1 does not set it.
+    The constants of the integral, (q; q)_oo / 2pi, t z and t/z, are
+    computed here, once; an empty z gives the node factor alone.
 
     Conjugate products are taken as |.|^2: in node, for real phi, the edge
     pair (e^{2i phi}, e^{-2i phi}; q)_oo and the (alpha zeta, alpha/zeta; q)_oo
@@ -251,33 +244,29 @@ def poisson_factors(z, t, num, den, ctx: QContext):
     # node: near phi = theta the factor 1 - t zeta/z cancels, and any further
     # rounding there moves the last bits of every integral of the kernel
     tz, t_z = t * z, t / z
-    knum = stored(table_key("(t^2; q)_oo", t, ctx), lambda: qpoch_infinite(t * t, ctx)) \
-        if z.size else 1.0
+    t2 = np.full(1 if z.size else 0, t * t, dtype=np.complex128)
     kernel_pairs = np.imag(t) == 0 and _on_unit_circle(z)
     params = list(num) + list(den)
     lone = [j + 1 for j, a in enumerate(params) if np.imag(a) != 0]  # rows of complex alpha
     num_rows, den_rows = range(1, 1 + len(num)), range(1 + len(num), 1 + len(params))
     wconst = euler_product(ctx) / (2.0 * np.pi)
-    integral = table_key("poisson_factors", z, t, num, den, ctx)
 
     def factors(zeta):
         zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
         zeta = zeta.reshape(len(zeta), -1)
-        return stored(integral + table_key(zeta), lambda: evaluate(zeta))
-
-    def evaluate(zeta):
         e2 = zeta * zeta
         # rows: q e^{2i phi}, alpha zeta for every alpha, alpha / zeta for
-        # complex alpha, then the kernel's pairs or its four products
+        # complex alpha, then the kernel's pairs or its four products, then t^2
         args = [ctx.q * e2] + [a * zeta for a in params] + [params[j - 1] / zeta for j in lone]
         if kernel_pairs and _on_unit_circle(zeta):
             kern = [zeta * tz, zeta * t_z]
         else:
             inv = 1.0 / zeta
             kern = [zeta * tz, inv * tz, zeta * t_z, inv * t_z]
-        p = qpoch_infinite(np.concatenate([w.ravel() for w in args + kern]), ctx)
+        p = qpoch_infinite(np.concatenate([w.ravel() for w in args + kern + [t2]]), ctx)
+        knum = p[-1] if z.size else 1.0
         pn = p[:len(args) * zeta.size].reshape((len(args),) + zeta.shape)
-        pk = p[len(args) * zeta.size:].reshape((len(kern),) + kern[0].shape)
+        pk = p[len(args) * zeta.size:p.size - t2.size].reshape((len(kern),) + kern[0].shape)
         h = pn[:1 + len(params)]
         h = h.real**2 + h.imag**2
         if lone:

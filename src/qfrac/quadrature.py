@@ -32,9 +32,9 @@ Node sets, block sizes and summation order depend only on the stated
 singularities and the context, so results are bit-stable.
 
 Integrands may be vector valued: f(nodes) may return shape (m,) or (m, B)
-for B simultaneous integrals (one rule, driven by the worst component).
-That is how operator applications evaluate a whole theta-grid with a single
-quadrature.
+for B simultaneous integrals (one rule, driven by the worst component), or
+(m, B, k) for k stacked operands at B points: one quadrature applies an
+operator on a whole theta-grid, to every operand.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ def _err_ratio(err, value, mass, ctx: QContext) -> float:
 
 
 # M doubles from _M0 to the cap _MAX_M.  After the first call (the _M0 + 1
-# starting nodes per piece) one f call gets at most _BLOCK nodes x
-# components, which bounds the memory of a call.  The sinh-mapped
+# starting nodes per piece) one f call gets at most _BLOCK nodes x points,
+# the first axis of f's components (not stacked operand columns, so an
+# operator inside f runs no more often), which bounds a call.  The sinh-mapped
 # rule's size is predicted from its stated singularities and from
 # _SINH_SAMPLES points of the line |Im phi| = strip above each piece; a
 # mapped piece reaches _SINH_REACH times that line's distance from its point.
@@ -166,13 +167,13 @@ def _nested(f, level, nodes, ctx: QContext) -> QuadResult:
         step = per_call or len(rows)
         fx = np.concatenate([np.asarray(f(rows[i:i + step]), dtype=np.complex128)
                              for i in range(0, len(rows), step)])
-        per_call = max(1, _BLOCK // fx[0].size)
+        per_call = max(1, _BLOCK // (fx.shape[1] if fx.ndim > 1 else 1))
         evals += x.size
         eval_counter.n += x.size
         fx = fx.reshape(x.shape[:2] + fx.shape[1:])
-        fx = (jac if np.ndim(jac) in (0, fx.ndim) else jac[..., None]) * fx
+        fx = np.reshape(jac, np.shape(jac) + (1,) * (fx.ndim - np.ndim(jac))) * fx
         rest, fx = fx.shape[2:], fx.reshape(fx.shape[:2] + (-1,))
-        new = np.concatenate((fx.view(np.float64), np.abs(fx)), axis=2)
+        new = np.concatenate((np.ascontiguousarray(fx).view(np.float64), np.abs(fx)), axis=2)
         if g is None:
             g = new
         else:

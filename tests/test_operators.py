@@ -108,23 +108,34 @@ class TestPoissonIntegral:
                             1.0, ctx05)
         assert len(counts) >= 5 and set(counts) == {1}
 
-    def test_second_operand_reads_the_tables(self, ctx05, qpoch_calls):
-        # inside a case, a second operand through the same operator at the
-        # same points makes no kernel, node or prefactor call; the operands
-        # make none of their own
-        first = op.analytic_from_x(lambda x: 3.0 * x * x - x)
-        second = op.analytic_from_x(lambda x: x * x)
-        for apply in (lambda f: op.apply_K(op.KParams(0.8, 1.2), f, ctx05),
-                      lambda f: op.dq_inverse(1.2, f, ctx05),
-                      lambda f: op.apply_T(op.TParams(0.4 + 0.3j, 0.4 - 0.3j, 0.5), f, ctx05)):
-            want = apply(second).on_theta(GRID)
-            with qcore.table_scope():
-                before = len(qpoch_calls)
-                apply(first).on_theta(GRID)
-                assert len(qpoch_calls) > before
-                before = len(qpoch_calls)
-                assert np.array_equal(apply(second).on_theta(GRID), want)
-                assert len(qpoch_calls) == before
+    @pytest.mark.parametrize("apply", [
+        lambda f, ctx: op.apply_K(op.KParams(0.8, 1.2), f, ctx),
+        lambda f, ctx: op.dq_inverse(1.2, f, ctx),
+        lambda f, ctx: op.apply_T(op.TParams(0.4 + 0.3j, 0.4 - 0.3j, 0.5), f, ctx),
+        lambda f, ctx: op.apply_Dq(op.apply_K(op.KParams(1.5, 1.2), f, ctx), ctx),
+        lambda f, ctx: op.left_inverse_apply(op.KParams(0.5, 1.2), f, ctx),
+        lambda f, ctx: op.apply_K(op.KParams(0.01, 1.2), f, ctx),
+        lambda f, ctx: op.apply_T(op.TParams(0.995, 0.3, 0.5), f, ctx),
+    ], ids=["K", "Dq^-1", "T", "Dq K", "left inverse", "K, sinh per point",
+            "T, sinh on shared nodes"])
+    def test_stacked_operands_share_one_application(self, ctx05, qpoch_calls, apply):
+        # each column of one stacked application equals its operand's own
+        # application, and makes as many qpoch_infinite calls as the operand
+        # that needs the most nodes; the operands make none of their own
+        fns = [op.analytic_from_x(lambda x: 3.0 * x * x - x), op.analytic_from_x(lambda x: x * x),
+               op.analytic_from_x(lambda x: ((16.0 * x * x - 20.0) * x * x + 5.0) * x)]
+        qcore.euler_product(ctx05)  # cached per context: computed before the counts
+        before = len(qpoch_calls)
+        got = apply(op.stack(fns), ctx05).on_theta(GRID)
+        stacked = len(qpoch_calls) - before
+        assert got.shape == (len(GRID), len(fns))
+        singles = []
+        for j, f in enumerate(fns):
+            before = len(qpoch_calls)
+            want = np.asarray(apply(f, ctx05).on_theta(GRID))
+            singles.append(len(qpoch_calls) - before)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert stacked == max(singles)
 
     @staticmethod
     def _reproduced(coeffs, t, z, ctx):
@@ -237,6 +248,17 @@ class TestDq:
         want = (math.sqrt(q) + 1 / math.sqrt(q)) * np.array([1.0, -1.0])
         assert np.allclose(val, want, rtol=1e-9)
 
+    def test_stacked_columns_at_regular_and_removable_points(self, ctx05):
+        # the regular quotient and the Richardson limit at z^2 = 1 take every
+        # column, each bit for bit its operand's own D_q
+        fns = [op.analytic_from_x(lambda x: x * x), op.analytic_from_x(lambda x: x**3 - x)]
+        theta = np.array([0.0, 0.7, np.pi])
+        got = op.apply_Dq(op.stack(fns), ctx05).on_theta(theta)
+        assert got.shape == (3, 2)
+        for j, f in enumerate(fns):
+            assert np.array_equal(got[:, j], op.apply_Dq(f, ctx05).on_theta(theta))
+        assert op.apply_Dq(op.stack(fns), ctx05)(1.0).shape == (2,)
+
     def test_degree_lowering(self, ctx05):
         # D_q of degree 4 has exact degree 3: the 3rd divided difference is
         # its leading coefficient, the 4th vanishes
@@ -268,12 +290,16 @@ class TestDq:
 
 class TestK:
     def test_eigen_action_quadrature(self, ctx_all):
+        # both degrees stacked through one application; each column of the
+        # stacked basis is bit for bit its own degree's eigenfunction
         p = op.KParams(1.2, 1.35)
-        for n in (0, 3):
-            f = op.eigen_k_basis(1.35, n, ctx_all)
-            got = op.apply_K(p, f, ctx_all).on_theta(GRID)
+        f = op.eigen_k_basis(1.35, [0, 3], ctx_all)
+        got = op.apply_K(p, f, ctx_all).on_theta(GRID)
+        for j, n in enumerate((0, 3)):
+            assert np.array_equal(f.on_theta(GRID)[:, j],
+                                  op.eigen_k_basis(1.35, n, ctx_all).on_theta(GRID))
             want = op.apply_K_eigen(p, n, GRID, ctx_all)
-            assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+            assert np.max(np.abs(got[:, j] - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_eigen_closed_form_n0(self, ctx05):
         # n = 0 is the bare prefactor times h
@@ -397,12 +423,15 @@ class TestLeftInverse:
 
 class TestT:
     def test_eigen(self, ctx_all):
+        # the degrees stacked through one application, as I19 runs them
         tp = op.TParams(0.4, 0.3, 0.5)
-        for n in (0, 2, 5):
-            f = op.eigen_t_basis(0.4, 0.3, n, ctx_all)
-            got = op.apply_T(tp, f, ctx_all).on_theta(GRID)
-            want = 0.5**n * np.asarray(f.on_theta(GRID))
-            assert np.max(np.abs(got - want)) < 1e-9 * max(np.max(np.abs(want)), 1e-12)
+        f = op.eigen_t_basis(0.4, 0.3, [0, 2, 5], ctx_all)
+        got = op.apply_T(tp, f, ctx_all).on_theta(GRID)
+        for j, n in enumerate((0, 2, 5)):
+            single = op.eigen_t_basis(0.4, 0.3, n, ctx_all).on_theta(GRID)
+            assert np.array_equal(f.on_theta(GRID)[:, j], single)
+            want = 0.5**n * single
+            assert np.max(np.abs(got[:, j] - want)) < 1e-9 * max(np.max(np.abs(want)), 1e-12)
 
     def test_rank_one_at_r_zero(self, ctx05):
         f = op.eigen_t_basis(0.4, 0.3, 2, ctx05)

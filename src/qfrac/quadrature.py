@@ -102,11 +102,12 @@ def _err_ratio(err, value, mass, ctx: QContext) -> float:
 
 # M doubles from _M0 to the cap _MAX_M.  After the first call (the _M0 + 1
 # starting nodes per piece) one f call gets at most _BLOCK nodes x points,
-# the first axis of f's components (not stacked operand columns, so an
-# operator inside f runs no more often), which bounds a call.  The sinh-mapped
-# rule's size is predicted from its stated singularities and from
-# _SINH_SAMPLES points of the line |Im phi| = strip above each piece; a
-# mapped piece reaches _SINH_REACH times that line's distance from its point.
+# the first axis of f's components, which bounds its memory per operand
+# column; the columns do not count, so an operator inside f runs no more
+# often.  The sinh-mapped rule's size is predicted from its stated
+# singularities and from _SINH_SAMPLES points of the line |Im phi| = strip
+# above each piece; a mapped piece reaches _SINH_REACH times that line's
+# distance from its point.
 _M0 = 16
 _MAX_M = 8192
 _BLOCK = 4096

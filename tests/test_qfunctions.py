@@ -1,12 +1,9 @@
 """Polynomial families, weights, bases and the q-exponential."""
 
-import contextlib
-
 import mpmath as mp
 import numpy as np
 import pytest
 
-from qfrac import qcore
 from qfrac.context import QContext
 from qfrac.errors import DivisionNearZero, DomainError, NonConvergent, PoleOnContour
 from qfrac.qcore import h_product_z, qpoch_finite, qpoch_infinite, euler_product
